@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench bench-sessions bench-dynamic fmt fmt-check vet lint lint-internal lint-fixtures check serve-smoke session-smoke crash-smoke slo-smoke
+.PHONY: build test test-short bench bench-sessions bench-dynamic fmt fmt-check vet lint lint-internal lint-fixtures perfbench-check check serve-smoke session-smoke crash-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -67,10 +67,9 @@ lint: lint-internal
 
 # Project invariants — svgiclint (see docs/STATIC_ANALYSIS.md): solve outside
 # session/shard locks, Clone before storing cloneable inputs, ctx threaded
-# through serving paths, seeded randomness, no new deprecated-API call sites,
-# no lock-order cycles, no untracked goroutines in serving packages.
-# Driven through `go vet -vettool` so test compilation units (where the
-# sanctioned deprecated-wrapper sites live) are analyzed too. Zero deps:
+# through serving paths, seeded randomness, no lock-order cycles, no
+# untracked goroutines in serving packages. Driven through `go vet -vettool`
+# so test compilation units are analyzed too. Zero deps:
 # the driver builds from this module alone. The binary rebuilds only when an
 # analyzer source file (fixtures excluded) or go.mod changes.
 ANALYSIS_SRCS := $(shell find internal/analysis cmd/svgiclint -name '*.go' -not -path '*/testdata/*')
@@ -85,6 +84,12 @@ lint-internal: bin/svgiclint
 # plus the flow-engine and harness unit tests, under the race detector.
 lint-fixtures:
 	$(GO) test -race ./internal/analysis/...
+
+# The benchmark module (perfbench/, which replaces github.com/svgic/svgic with
+# this checkout): vet it and run its deterministic self-test, so a change to
+# the public API that breaks `bash perfbench/run.sh` fails here first.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Serving smoke: build svgicd and fire a few hundred mixed-duplicate requests
 # at an in-process server. The loadgen exits non-zero on any response status
@@ -135,4 +140,4 @@ crash-smoke:
 	./bin/svgicd -loadgen -dynamic -crash -data-dir bin/crash-data-always -fsync always -snapshot-every 16 -sessions 4 -session-shards 4 -requests 240 -workers 2 -seed 11
 	./bin/svgicd -loadgen -dynamic -crash -data-dir bin/crash-data-off -fsync off -snapshot-every 16 -sessions 4 -session-shards 4 -requests 240 -workers 2 -seed 12
 
-check: fmt-check vet lint build test-short
+check: fmt-check vet lint build test-short perfbench-check

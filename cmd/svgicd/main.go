@@ -89,7 +89,6 @@ type config struct {
 	maxTimeout  time.Duration
 	maxInFlight int
 	maxBatch    int
-	noCoalesce  bool
 
 	slo                 string
 	sloDegradeAlgo      string
@@ -100,8 +99,6 @@ type config struct {
 	sessionTTL     time.Duration
 	repairInterval time.Duration
 	repairMargin   float64
-	noDeltaRepair  bool
-	noWarmStart    bool
 
 	dataDir       string
 	fsync         string
@@ -136,7 +133,6 @@ func run() error {
 	flag.DurationVar(&cfg.maxTimeout, "max-timeout", server.DefaultMaxTimeout, "cap on client-requested timeouts")
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", 0, "admission limit (0 = 4×workers); excess load is shed with 429")
 	flag.IntVar(&cfg.maxBatch, "max-batch", server.DefaultMaxBatch, "max instances per batch request")
-	flag.BoolVar(&cfg.noCoalesce, "no-coalesce", false, "disable request coalescing")
 
 	flag.StringVar(&cfg.slo, "slo", "",
 		`latency objectives, comma-separated "p<pct> <series> < <duration> over <duration>" (e.g. "p99 solve < 250ms over 5m"); series are routes (solve, batch, evaluate, session_create, session_events, session_get), per-algorithm solves (algo:<NAME>) or drift repair (repair). Empty = measure only, no objectives`)
@@ -155,10 +151,6 @@ func run() error {
 		"drift repair: periodically re-solve each live session through the engine and swap in the result when it beats the incremental configuration (0 = off)")
 	flag.Float64Var(&cfg.repairMargin, "repair-margin", session.DefaultRepairMargin,
 		"drift repair: relative improvement a re-solve must show to be swapped in (0 = the 0.01 default; negative = swap on any strict improvement)")
-	flag.BoolVar(&cfg.noDeltaRepair, "no-delta-repair", false,
-		"drift repair: disable the dirty-component delta re-solve; every repair cycle re-solves the whole instance (escape hatch / baseline)")
-	flag.BoolVar(&cfg.noWarmStart, "no-warm-start", false,
-		"drift repair: disable warm-starting repair solves from the session's incumbent configuration (escape hatch / baseline)")
 
 	flag.StringVar(&cfg.dataDir, "data-dir", "",
 		"durable session store directory: live sessions get a write-ahead log + snapshots there and are recovered on restart (empty = in-memory only)")
@@ -280,8 +272,6 @@ func newApp(cfg config) (*app, error) {
 		TTL:            cfg.sessionTTL,
 		RepairInterval: cfg.repairInterval,
 		RepairMargin:   cfg.repairMargin,
-		NoDeltaRepair:  cfg.noDeltaRepair,
-		NoWarmStart:    cfg.noWarmStart,
 		Persister:      persisterOrNil(st),
 		SnapshotEvery:  cfg.snapshotEvery,
 		RepairObserver: func(d time.Duration) { tel.Record("repair", d) },
@@ -304,7 +294,6 @@ func newApp(cfg config) (*app, error) {
 		DefaultTimeout: cfg.timeout,
 		MaxTimeout:     cfg.maxTimeout,
 		MaxBatch:       cfg.maxBatch,
-		NoCoalesce:     cfg.noCoalesce,
 		Sessions:       mgr,
 		Store:          st,
 
@@ -339,7 +328,9 @@ func persisterOrNil(st *store.Store) session.Persister {
 // and returns the parameters too (the server needs them so explicit
 // {"algo": default} requests resolve identically). The flag help and the
 // unknown-algorithm error are both derived from the registry, so a newly
-// registered solver is reachable without touching this file.
+// registered solver is reachable without touching this file. A -size-cap
+// the solver has no parameter for is an error, as it is for a capped
+// session: the solver would ignore the cap and serve oversized subgroups.
 func pickSolver(algo string, cfg config) (func() svgic.Solver, svgic.Params, error) {
 	spec, ok := svgic.LookupSolver(algo)
 	if !ok {
@@ -356,6 +347,9 @@ func pickSolver(algo string, cfg config) (func() svgic.Solver, svgic.Params, err
 				params["sizeCap"] = cfg.sizeCap
 			}
 		}
+	}
+	if _, capped := params["sizeCap"]; cfg.sizeCap > 0 && !capped {
+		return nil, nil, fmt.Errorf("algorithm %q has no sizeCap parameter: it cannot solve the capped problem -size-cap=%d asks for", spec.Name, cfg.sizeCap)
 	}
 	// Validate once up front so a bad flag combination fails at startup, not
 	// on the first request.

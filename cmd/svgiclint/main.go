@@ -1,6 +1,6 @@
 // Command svgiclint is the project's static-analysis driver: a multichecker
 // for the invariant analyzers under internal/analysis (locksolve, lockorder,
-// goleak, cloneescape, ctxthread, seedrand, nodeprecated).
+// goleak, cloneescape, ctxthread, seedrand).
 //
 // It runs two ways:
 //
@@ -8,10 +8,10 @@
 //	go vet -vettool=$(pwd)/bin/svgiclint ./...   # vet mode: per-unit, test files included
 //
 // The vet mode is the canonical `make lint` path — `go vet` hands the tool
-// test compilation units too, which is where the sanctioned deprecated-API
-// call sites live. Findings print as file:line:col: [analyzer] message and
-// exit nonzero; -json switches the standalone mode to one machine-readable
-// JSON array of diagnostics on stdout for CI and editors.
+// test compilation units too, so _test.go files are checked like any other.
+// Findings print as file:line:col: [analyzer] message and exit nonzero;
+// -json switches the standalone mode to one machine-readable JSON array of
+// diagnostics on stdout for CI and editors.
 package main
 
 import (
@@ -25,14 +25,14 @@ import (
 	"github.com/svgic/svgic/internal/analysis/goleak"
 	"github.com/svgic/svgic/internal/analysis/lockorder"
 	"github.com/svgic/svgic/internal/analysis/locksolve"
-	"github.com/svgic/svgic/internal/analysis/nodeprecated"
 	"github.com/svgic/svgic/internal/analysis/seedrand"
 )
 
 // version is what `svgiclint -V=full` reports; `go vet` hashes this line into
 // its action cache, so bump it when analyzer behavior changes. v2 is the
-// concurrency suite: lockorder + goleak, and facts carrying lock classes.
-const version = "v2.0.0"
+// concurrency suite: lockorder + goleak, and facts carrying lock classes;
+// v3 drops the deprecation check and the fact field it read.
+const version = "v3.0.0"
 
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -41,7 +41,6 @@ func analyzers() []*analysis.Analyzer {
 		goleak.Analyzer,
 		lockorder.Analyzer,
 		locksolve.Analyzer,
-		nodeprecated.Analyzer,
 		seedrand.Analyzer,
 	}
 }

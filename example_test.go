@@ -7,9 +7,8 @@ import (
 	svgic "github.com/svgic/svgic"
 )
 
-// ExampleSolveAVGD solves a two-friend store with the deprecated one-shot
-// wrapper (kept working; new code uses NewSolver/Solve(ctx)).
-func ExampleSolveAVGD() {
+// ExampleAVGD solves a two-friend store with the deterministic AVG-D solver.
+func ExampleAVGD() {
 	g := svgic.NewGraph(2)
 	g.AddMutualEdge(0, 1)
 	in := svgic.NewInstance(g, 3, 2, 0.5)
@@ -22,11 +21,11 @@ func ExampleSolveAVGD() {
 	_ = in.SetTau(0, 1, 0, 0.5)
 	_ = in.SetTau(1, 0, 0, 0.5)
 
-	//lint:ignore SA1019 the deprecated wrapper is exercised deliberately
-	conf, _, err := svgic.SolveAVGD(in, svgic.AVGDOptions{})
+	sol, err := svgic.AVGD(svgic.AVGDOptions{}).Solve(context.Background(), in)
 	if err != nil {
 		panic(err)
 	}
+	conf := sol.Config
 	rep := svgic.Evaluate(in, conf)
 	fmt.Printf("co-displayed item 0: %v\n", conf.CoDisplayed(0, 1, 0))
 	fmt.Printf("preference %.2f social %.2f\n", rep.Preference, rep.Social)

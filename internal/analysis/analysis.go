@@ -14,12 +14,12 @@
 // third-party dependencies, and the build environment cannot fetch any. The
 // subset re-implemented here — Analyzer, Pass, Reportf, a package loader, an
 // analysistest-style fixture harness and the `go vet -vettool` JSON-config
-// protocol — is exactly what the five project checkers need; if the module
+// protocol — is exactly what the project checkers need; if the module
 // ever grows an x/tools dependency, the analyzers port over almost verbatim
 // because the API shape is the same.
 //
 // Cross-package knowledge (which functions transitively reach a solver,
-// which symbols are deprecated) travels as serialized per-function Facts
+// which locks they take) travels as serialized per-function Facts
 // rather than shared ASTs, so the same analyzers run identically in the
 // in-process driver, in the analysistest harness, and as separate `go vet`
 // compilation units.
@@ -43,15 +43,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description printed by `svgiclint -list`.
 	Doc string
-	// Aliases are additional directive names that suppress this analyzer's
-	// diagnostics (nodeprecated honors the staticcheck name SA1019, so one
-	// directive satisfies both tools at a sanctioned call site).
-	Aliases []string
-	// NoAutoSuppress opts the analyzer out of the runner's generic
-	// //lint:ignore filtering: the analyzer interprets directives itself
-	// (nodeprecated must see them to tell sanctioned suppressions from new
-	// ones, rather than having the runner hide the call sites from it).
-	NoAutoSuppress bool
 	// Run performs the check over one package and reports findings through
 	// the pass.
 	Run func(*Pass) error
@@ -105,8 +96,7 @@ func (p *Pass) ReportChain(pos token.Pos, chain []string, message string) {
 
 // InTestFile reports whether pos lies in a _test.go file. Most analyzers
 // exempt test files: tests legitimately use context.Background and exercise
-// deliberately unexported shapes. nodeprecated does NOT exempt them — the
-// sanctioned deprecated-wrapper call sites live in tests.
+// deliberately unexported shapes.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	f := p.Fset.File(pos)
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")

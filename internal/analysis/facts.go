@@ -30,9 +30,6 @@ type FuncFact struct {
 	// Persisty: the function synchronously reaches a durability hook (the
 	// session.Persister methods — the "store enqueue" of the lock invariant).
 	Persisty bool `json:"persisty,omitempty"`
-	// Deprecated is the first line of the declaration's "Deprecated:" doc
-	// paragraph, empty for non-deprecated functions.
-	Deprecated string `json:"deprecated,omitempty"`
 	// Locks are the lock classes (see SyncClass) the function synchronously
 	// acquires, directly or transitively. Acquisitions inside `go`-spawned
 	// bodies do not count — they happen on another goroutine, so a caller
@@ -50,7 +47,7 @@ type FuncFact struct {
 }
 
 func (f FuncFact) isZero() bool {
-	return !f.Solvy && !f.Persisty && f.Deprecated == "" &&
+	return !f.Solvy && !f.Persisty &&
 		len(f.Locks) == 0 && len(f.WGDone) == 0 && !f.Terminates
 }
 
@@ -103,8 +100,8 @@ func (fs *Facts) LockEdges() []LockEdge {
 
 // Of looks up the fact recorded for a function object. The zero fact is
 // returned for functions the suite has not (yet) analyzed — external code is
-// assumed neither solvy nor persisty nor deprecated, which keeps the
-// analyzers quiet rather than noisy about the standard library.
+// assumed neither solvy nor persisty, which keeps the analyzers quiet rather
+// than noisy about the standard library.
 func (fs *Facts) Of(fn *types.Func) FuncFact {
 	if fn == nil {
 		return FuncFact{}
@@ -176,15 +173,6 @@ func recvTypeName(t types.Type) string {
 		return "" // anonymous interface receiver: method sets only
 	}
 	return ""
-}
-
-// KeyMatches reports whether a FuncKey ends in the given shorthand — e.g.
-// "session.Manager.Create" matches the real
-// "github.com/svgic/svgic/internal/session.Manager.Create" and a fixture's
-// "example.com/session.Manager.Create". The boundary must fall on a path
-// separator so "mysession.Manager.Create" does not match.
-func KeyMatches(key, shorthand string) bool {
-	return key == shorthand || strings.HasSuffix(key, "/"+shorthand)
 }
 
 // SolveName reports whether a callee name is a solver entry point: Solve
@@ -277,7 +265,6 @@ func ComputePackageFacts(fset *token.FileSet, files []*ast.File, info *types.Inf
 				locks:  make(map[string]bool),
 				wgDone: make(map[string]bool),
 			}
-			n.fact.Deprecated = deprecationOf(fd.Doc)
 			n.fact.Terminates = TerminatesLifecycle(fd.Body, info, closed)
 			SyncCalls(fd.Body, func(call *ast.CallExpr) {
 				if name := CalleeName(call); SolveName(name) {
@@ -370,20 +357,6 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// deprecationOf extracts the first line of a "Deprecated:" doc paragraph.
-func deprecationOf(doc *ast.CommentGroup) string {
-	if doc == nil {
-		return ""
-	}
-	for _, line := range strings.Split(doc.Text(), "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "Deprecated:") {
-			return strings.TrimSpace(strings.TrimPrefix(line, "Deprecated:"))
-		}
-	}
-	return ""
 }
 
 // SyncCalls walks a function body and invokes fn for every call that

@@ -6,9 +6,7 @@ import (
 
 // Run executes the analyzers over one type-checked package and returns the
 // surviving diagnostics: findings covered by a justified //lint:ignore
-// directive (naming the analyzer or one of its aliases) are filtered out
-// here, except for analyzers that opted out with NoAutoSuppress and police
-// the directives themselves.
+// directive naming the analyzer are filtered out here.
 func Run(pkg *Package, facts *Facts, analyzers []*Analyzer) ([]Diagnostic, error) {
 	// Directive maps are per file; index them by file name once.
 	dirs := make(map[string]map[int]Directive)
@@ -32,9 +30,8 @@ func Run(pkg *Package, facts *Facts, analyzers []*Analyzer) ([]Diagnostic, error
 		if err := a.Run(pass); err != nil {
 			return nil, err
 		}
-		names := append([]string{a.Name}, a.Aliases...)
 		for _, d := range diags {
-			if !a.NoAutoSuppress && suppressed(dirs, pkg.Fset, d.Pos, names) {
+			if suppressed(dirs, pkg.Fset, d.Pos, a.Name) {
 				continue
 			}
 			out = append(out, d)
@@ -44,7 +41,7 @@ func Run(pkg *Package, facts *Facts, analyzers []*Analyzer) ([]Diagnostic, error
 	return out, nil
 }
 
-func suppressed(dirs map[string]map[int]Directive, fset *token.FileSet, pos token.Pos, names []string) bool {
+func suppressed(dirs map[string]map[int]Directive, fset *token.FileSet, pos token.Pos, name string) bool {
 	p := fset.Position(pos)
-	return SanctionedAt(dirs[p.Filename], p.Line, names...)
+	return SanctionedAt(dirs[p.Filename], p.Line, name)
 }

@@ -53,7 +53,6 @@ func TestCoalescerCollapsesConcurrentDuplicates(t *testing.T) {
 		NewSolver: func() core.Solver {
 			return &gateSolver{gate: gate, runs: &runs, inner: &core.AVGDSolver{}}
 		},
-		NoDecompose: true, // one component = one gated solver run per solve
 	})
 	defer e.Close()
 	c := NewCoalescer(e)
@@ -121,7 +120,6 @@ func TestCoalescerFollowerHonorsOwnContext(t *testing.T) {
 		NewSolver: func() core.Solver {
 			return &gateSolver{gate: gate, runs: &runs, inner: &core.AVGDSolver{}}
 		},
-		NoDecompose: true,
 	})
 	defer e.Close()
 	c := NewCoalescer(e)
@@ -163,7 +161,6 @@ func TestCoalescerLeaderErrorFansOut(t *testing.T) {
 		NewSolver: func() core.Solver {
 			return &gateSolver{gate: gate, runs: &runs, inner: flakySolver{failItems: 10}}
 		},
-		NoDecompose: true,
 	})
 	defer e.Close()
 	c := NewCoalescer(e)
@@ -203,7 +200,6 @@ func TestCoalescerBatchCollapsesInternalDuplicates(t *testing.T) {
 		NewSolver: func() core.Solver {
 			return &gateSolver{gate: gate, runs: &runs, inner: &core.AVGDSolver{}}
 		},
-		NoDecompose: true,
 	})
 	defer e.Close()
 	c := NewCoalescer(e)
@@ -300,7 +296,6 @@ func TestCoalescerFollowerRetriesAfterLeaderCancel(t *testing.T) {
 		NewSolver: func() core.Solver {
 			return &gateSolver{gate: gate, runs: &runs, inner: &core.AVGDSolver{}}
 		},
-		NoDecompose: true,
 	})
 	defer e.Close()
 	c := NewCoalescer(e)

@@ -6,13 +6,14 @@
 // core.ComponentDecompose) and memoizes whole-instance solutions behind an
 // LRU cache keyed by instance fingerprint AND solver identity.
 //
-// The engine is the serving-path counterpart of the one-shot library calls:
-// where SolveAVGD answers one group on one goroutine, an Engine answers many
-// groups at once on a bounded number of goroutines, under context
-// cancellation and deadlines, with throughput, latency and per-algorithm
-// counters. Every registered solver can be used per request via SolveWith;
-// the cache and the Coalescer incorporate the solver's cache key, so AVG and
-// AVG-D results (or one algorithm under two parameterizations) never alias.
+// The engine is the serving-path counterpart of a bare core.Solver: where
+// Solver.Solve answers one group on the caller's goroutine, an Engine
+// answers many groups at once on a bounded number of goroutines, under
+// context cancellation and deadlines, with throughput, latency and
+// per-algorithm counters. Every registered solver can be used per request
+// via SolveWith; the cache and the Coalescer incorporate the solver's cache
+// key, so AVG and AVG-D results (or one algorithm under two
+// parameterizations) never alias.
 package engine
 
 import (
@@ -47,12 +48,6 @@ type Options struct {
 	// means DefaultCacheSize, negative disables caching. Cached solutions are
 	// returned as deep copies, so callers may mutate results freely.
 	CacheSize int
-	// NoDecompose solves every instance whole instead of per connected
-	// component, regardless of what the solver reports. Decomposition is
-	// only ever applied to solvers that declare themselves safe via
-	// core.ComponentSafe (AVG/AVG-D without a size cap, PER, IP); all other
-	// solvers are solved whole automatically.
-	NoDecompose bool
 	// SolveObserver, when set, receives the display name and wall time of
 	// every solve that ran a solver to completion (cache hits, cancels and
 	// errors are not observed — they carry no solver wall time). Called
@@ -198,7 +193,6 @@ func (u Uncached) Solve(ctx context.Context, in *core.Instance) (*core.Solution,
 // "component" error) — it never panics.
 type Engine struct {
 	workers       int
-	forceWhole    bool // Options.NoDecompose: never decompose, for any solver
 	defaultWhole  bool // resolved decomposition decision for the default solver
 	defaultSolver core.Solver
 	defaultKey    string
@@ -241,8 +235,7 @@ func New(opts Options) *Engine {
 	}
 	e := &Engine{
 		workers:       workers,
-		forceWhole:    opts.NoDecompose,
-		defaultWhole:  opts.NoDecompose || !decomposeSafe(solvers[0]),
+		defaultWhole:  !decomposeSafe(solvers[0]),
 		defaultSolver: solvers[0],
 		defaultKey:    SolverKey(solvers[0]),
 		tasks:         make(chan task),
@@ -415,7 +408,7 @@ func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solve
 	useCache := e.cache != nil
 	if solver != nil {
 		algo = solver.Name()
-		whole = e.forceWhole || !decomposeSafe(solver)
+		whole = !decomposeSafe(solver)
 		useCache = useCache && keyedSolver(solver)
 	}
 	// Dead-on-arrival requests: don't pay the O(n·m + |E|·m) fingerprint or

@@ -238,11 +238,13 @@ func TestEngineClosed(t *testing.T) {
 	}
 }
 
+// TestEngineNoDecompose: a solver that does not implement core.ComponentSafe
+// is solved whole, however many components the instance has.
 func TestEngineNoDecompose(t *testing.T) {
-	e := New(Options{Workers: 2, CacheSize: -1, NoDecompose: true})
+	e := New(Options{Workers: 2})
 	defer e.Close()
 	in := multiComponentInstance(4, 3, 5, 12, 2, 0.5)
-	sol, err := e.Solve(context.Background(), in)
+	sol, err := e.SolveWith(context.Background(), in, Uncached{S: &core.AVGDSolver{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,35 +252,13 @@ func TestEngineNoDecompose(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.ComponentsSolved != 1 {
-		t.Errorf("ComponentsSolved = %d, want 1 under NoDecompose", st.ComponentsSolved)
-	}
-}
-
-// TestEngineCappedSolverNoDecompose: an ST-capped solver must run whole-
-// instance; the result then respects the cap globally.
-func TestEngineCappedSolverNoDecompose(t *testing.T) {
-	const cap = 2
-	e := New(Options{
-		Workers:     2,
-		CacheSize:   -1,
-		NoDecompose: true,
-		NewSolver:   func() core.Solver { return &core.AVGDSolver{Opts: core.AVGDOptions{SizeCap: cap}} },
-	})
-	defer e.Close()
-	in := multiComponentInstance(6, 3, 4, 14, 2, 0.5)
-	sol, err := e.Solve(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := sol.Config.SizeViolations(cap); v != 0 {
-		t.Errorf("%d size violations at cap %d", v, cap)
+		t.Errorf("ComponentsSolved = %d, want 1 for a solver without ComponentSafe", st.ComponentsSolved)
 	}
 }
 
 // TestEngineCappedSolverAutoNoDecompose: New detects a size cap on the
-// AVG/AVG-D adapters and forces whole-instance solving even when the caller
-// forgot NoDecompose — otherwise merged per-component subgroups could exceed
-// the cap silently.
+// AVG/AVG-D adapters and solves whole-instance — otherwise merged
+// per-component subgroups could exceed the cap silently.
 func TestEngineCappedSolverAutoNoDecompose(t *testing.T) {
 	const cap = 2
 	e := New(Options{
@@ -296,7 +276,7 @@ func TestEngineCappedSolverAutoNoDecompose(t *testing.T) {
 		t.Errorf("%d size violations at cap %d", v, cap)
 	}
 	if st := e.Stats(); st.ComponentsSolved != 1 {
-		t.Errorf("ComponentsSolved = %d, want 1 (auto NoDecompose)", st.ComponentsSolved)
+		t.Errorf("ComponentsSolved = %d, want 1 (capped solver solved whole)", st.ComponentsSolved)
 	}
 }
 

@@ -342,49 +342,16 @@ func TestUpperBoundTightOnIndependentUsers(t *testing.T) {
 	}
 }
 
-func TestSmoothedSolverNearExact(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		rx := randomRelaxation(seed, 4, 5, 2, 4)
-		_, exact, err := rx.SolveExact()
-		if err != nil {
-			t.Fatal(err)
-		}
-		X, obj := rx.Solve(RelaxOptions{Seed: seed, Method: MethodSmoothed, MaxPasses: 40, PolishIters: 120})
-		if obj > exact+1e-6 {
-			t.Errorf("seed %d: smoothed %.6f exceeds exact %.6f", seed, obj, exact)
-		}
-		if obj < 0.93*exact {
-			t.Errorf("seed %d: smoothed %.6f below 93%% of exact %.6f", seed, obj, exact)
-		}
-		for u, row := range X {
-			var sum float64
-			for _, x := range row {
-				sum += x
-			}
-			if math.Abs(sum-float64(rx.K)) > 1e-6 {
-				t.Fatalf("seed %d: user %d mass %.9f", seed, u, sum)
-			}
-		}
-	}
-}
-
 func TestMethodsAgreeOnEasyInstance(t *testing.T) {
-	// Pairless instance: both methods must hit the separable optimum.
+	// Pairless instance: block-coordinate must hit the separable optimum.
 	rx := randomRelaxation(9, 5, 6, 2, 0)
 	_, exact, err := rx.SolveExact()
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, bcd := rx.Solve(RelaxOptions{Seed: 1})
-	_, sm := rx.Solve(RelaxOptions{Seed: 1, Method: MethodSmoothed})
 	if math.Abs(bcd-exact) > 1e-6 {
 		t.Errorf("block-coordinate %.6f != exact %.6f", bcd, exact)
-	}
-	if sm < exact-1e-3 {
-		t.Errorf("smoothed %.6f below exact %.6f", sm, exact)
-	}
-	if MethodSmoothed.String() != "smoothed" || MethodBlockCoordinate.String() != "block-coordinate" {
-		t.Error("Method.String misbehaves")
 	}
 }
 

@@ -75,15 +75,14 @@ type RelaxOptions struct {
 	Tol         float64 // relative sweep-improvement stopping tolerance (default 1e-7)
 	Seed        uint64  // RNG seed for sweep order and restarts
 	Restarts    int     // extra random restarts (default 1 extra start)
-	Method      Method  // MethodBlockCoordinate (default) or MethodSmoothed
 
 	// Warm, when non-nil and dimensioned [NumUsers][NumItems], seeds the
 	// block-coordinate ascent from this point (projected onto the capped
 	// simplex) INSTEAD of the cold random restarts — the warm-start path for
 	// drift repair, where the incumbent configuration's indicator point is
 	// already near a good optimum and cold restarts would re-pay full
-	// convergence cost. Ignored by MethodSmoothed and by mis-dimensioned
-	// input. The caller keeps ownership; Solve copies before mutating.
+	// convergence cost. Ignored for mis-dimensioned input. The caller keeps
+	// ownership; Solve copies before mutating.
 	Warm [][]float64
 }
 
@@ -112,15 +111,6 @@ func (o *RelaxOptions) fill() {
 func (rx *Relaxation) Solve(opts RelaxOptions) ([][]float64, float64) {
 	opts.fill()
 	rx.buildAdj()
-	if opts.Method == MethodSmoothed {
-		X, obj := rx.solveSmoothed(opts)
-		if opts.PolishIters > 0 {
-			if px, pobj := rx.polish(cloneMatrix(X), opts.PolishIters); pobj > obj {
-				return px, pobj
-			}
-		}
-		return X, obj
-	}
 	r := stats.NewRand(opts.Seed + 0x51a7)
 
 	bestObj := math.Inf(-1)

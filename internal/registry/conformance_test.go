@@ -11,6 +11,7 @@ import (
 	"github.com/svgic/svgic/internal/datasets"
 	"github.com/svgic/svgic/internal/paperex"
 	"github.com/svgic/svgic/internal/registry"
+	"github.com/svgic/svgic/internal/utility"
 )
 
 // The solver conformance suite: one table-driven pass over EVERY registered
@@ -20,18 +21,38 @@ import (
 //   - the configuration is complete and valid (bounds, k distinct slots);
 //   - the Solution envelope is honest (algorithm name, report matches a
 //     fresh evaluation, components ≥ 1);
+//   - a solution that carries LP rounding stats (AVG, AVG-D) is worth at
+//     least a quarter of its LP objective — the paper's 4-approximation;
 //   - deterministic solvers are bit-reproducible across fresh instances;
 //   - a pre-canceled context returns ctx.Err() promptly;
 //   - one solver instance is safe for concurrent use (run with -race).
 
 // conformanceFixtures returns the shared instances: the paper's running
-// example (connected, small enough for the exact IP) and a multi-component
-// synthetic workload.
-func conformanceFixtures() []*core.Instance {
-	return []*core.Instance{
+// example (connected, small enough for the exact IP), a multi-component
+// synthetic workload, and one seeded group per dataset profile.
+func conformanceFixtures(t *testing.T) []*core.Instance {
+	t.Helper()
+	fixtures := []*core.Instance{
 		paperex.New(0.5),
 		datasets.MultiGroup(3, 2, 3, 8, 2, 0.5),
 	}
+	for _, g := range []struct {
+		name    datasets.Name
+		n, m, k int
+		lambda  float64
+		seed    uint64
+	}{
+		{datasets.Timik, 6, 20, 3, 0.5, 21},
+		{datasets.Epinions, 15, 30, 4, 0.4, 22},
+		{datasets.Yelp, 24, 40, 5, 0.6, 23},
+	} {
+		in, err := datasets.Generate(g.name, g.n, g.m, g.k, g.lambda, utility.PIERT, g.seed)
+		if err != nil {
+			t.Fatalf("fixture %s: %v", g.name, err)
+		}
+		fixtures = append(fixtures, in)
+	}
+	return fixtures
 }
 
 // conformanceParams overrides defaults where the conformance budget needs
@@ -42,8 +63,9 @@ var conformanceParams = map[string]registry.Params{
 
 // fixturesFor bounds the exponential solvers to the small fixture; everything
 // else runs the full set.
-func fixturesFor(name string) []*core.Instance {
-	fixtures := conformanceFixtures()
+func fixturesFor(t *testing.T, name string) []*core.Instance {
+	t.Helper()
+	fixtures := conformanceFixtures(t)
 	if name == "ip" {
 		return fixtures[:1] // branch and bound: paper example only
 	}
@@ -64,7 +86,7 @@ func TestSolverConformance(t *testing.T) {
 				t.Errorf("Name() = %q, want display name %q", s.Name(), spec.Display)
 			}
 			ctx := context.Background()
-			for fi, in := range fixturesFor(spec.Name) {
+			for fi, in := range fixturesFor(t, spec.Name) {
 				sol, err := s.Solve(ctx, in)
 				if err != nil {
 					t.Fatalf("fixture %d: %v", fi, err)
@@ -87,10 +109,14 @@ func TestSolverConformance(t *testing.T) {
 					t.Errorf("fixture %d: solution report %.12f != fresh evaluation %.12f",
 						fi, sol.Report.Weighted(), fresh.Weighted())
 				}
+				if r := sol.Rounding; r != nil && sol.Report.Weighted() < r.LPObjective/4-1e-9 {
+					t.Errorf("fixture %d: weighted value %.9f below LP/4 = %.9f",
+						fi, sol.Report.Weighted(), r.LPObjective/4)
+				}
 			}
 
 			if spec.Deterministic {
-				in := fixturesFor(spec.Name)[0]
+				in := fixturesFor(t, spec.Name)[0]
 				s2, err := registry.New(spec.Name, params)
 				if err != nil {
 					t.Fatal(err)
@@ -116,13 +142,13 @@ func TestSolverConformance(t *testing.T) {
 			// error — no solving, no panic.
 			canceled, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := s.Solve(canceled, conformanceFixtures()[0]); !errors.Is(err, context.Canceled) {
+			if _, err := s.Solve(canceled, conformanceFixtures(t)[0]); !errors.Is(err, context.Canceled) {
 				t.Errorf("pre-canceled Solve: err = %v, want context.Canceled", err)
 			}
 
 			// One instance, several goroutines: the Solver contract requires
 			// concurrent safety (the engine shares instances across workers).
-			in := fixturesFor(spec.Name)[0]
+			in := fixturesFor(t, spec.Name)[0]
 			const workers = 4
 			sols := make([]*core.Solution, workers)
 			errs := make([]error, workers)

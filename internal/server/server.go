@@ -109,9 +109,6 @@ type Options struct {
 	MaxBatch int
 	// RetryAfter is the hint sent with 429 responses.
 	RetryAfter time.Duration
-	// NoCoalesce disables request coalescing (solves go straight to the
-	// engine). For measurement and tests; production serving wants it on.
-	NoCoalesce bool
 	// Sessions is the live-session manager backing the /v1/sessions
 	// endpoints. The server does not own it — close it after Shutdown, before
 	// the engine. Nil builds a loop-less default manager over Engine (bounded
@@ -255,9 +252,7 @@ func New(opts Options) (*Server, error) {
 		}
 		s.ctrl = ctrl
 	}
-	if !opts.NoCoalesce {
-		s.coal = engine.NewCoalescer(opts.Engine)
-	}
+	s.coal = engine.NewCoalescer(opts.Engine)
 	s.mgr = opts.Sessions
 	if s.mgr == nil {
 		// The default manager persists through Options.Store when one is
@@ -435,19 +430,13 @@ func (s *Server) resolveSolver(algo string, raw json.RawMessage) (core.Solver, e
 	return registry.New(algo, params)
 }
 
-// solve routes one instance through the coalescer (or straight to the engine
-// when coalescing is off); a nil solver means the engine default.
+// solve routes one instance through the coalescer; a nil solver means the
+// engine default.
 func (s *Server) solve(ctx context.Context, in *core.Instance, solver core.Solver) (*core.Solution, error) {
-	switch {
-	case s.coal != nil && solver != nil:
+	if solver != nil {
 		return s.coal.SolveWith(ctx, in, solver)
-	case s.coal != nil:
-		return s.coal.Solve(ctx, in)
-	case solver != nil:
-		return s.eng.SolveWith(ctx, in, solver)
-	default:
-		return s.eng.Solve(ctx, in)
 	}
+	return s.coal.Solve(ctx, in)
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -567,13 +556,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	// Per-item solvers (instances may select different algorithms); the
 	// coalescer still collapses duplicates inside and across batches.
-	var sols []*core.Solution
-	var solveErr error
-	if s.coal != nil {
-		sols, solveErr = s.coal.SolveBatchEach(ctx, ins, solvers)
-	} else {
-		sols, solveErr = s.eng.SolveBatchEach(ctx, ins, solvers)
-	}
+	sols, solveErr := s.coal.SolveBatchEach(ctx, ins, solvers)
 	elapsed := time.Since(start)
 	// The batch shares one deadline, so a context failure is the whole
 	// request's failure; any other per-item error is an internal fault.
@@ -719,10 +702,8 @@ func (s *Server) StatsSnapshot() StatsResponse {
 			}
 		}
 	}
-	if s.coal != nil {
-		cst := s.coal.Stats()
-		resp.Coalesce = CoalesceStats{Enabled: true, Leads: cst.Leads, Joins: cst.Joins}
-	}
+	cst := s.coal.Stats()
+	resp.Coalesce = CoalesceStats{Enabled: true, Leads: cst.Leads, Joins: cst.Joins}
 	resp.Sessions = SessionsStats{
 		Enabled:     true,
 		MaxSessions: s.mgr.MaxSessions(),

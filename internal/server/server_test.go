@@ -59,7 +59,6 @@ func newGatedServer(t *testing.T, opts Options) (*Server, chan struct{}, *atomic
 		NewSolver: func() core.Solver {
 			return &gateSolver{gate: gate, runs: runs, inner: &core.AVGDSolver{}}
 		},
-		NoDecompose: true, // one gated solver run per solve
 	})
 	t.Cleanup(eng.Close)
 	opts.Engine = eng

@@ -186,7 +186,6 @@ func TestSLOAdaptiveShed429(t *testing.T) {
 	srv, gate, _ := newGatedServer(t, Options{
 		MaxInFlight:      4,
 		RetryAfter:       10 * time.Second,
-		NoCoalesce:       true,
 		Telemetry:        tr,
 		SLOs:             []telemetry.Objective{obj},
 		SLOEvalEvery:     time.Nanosecond,

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/svgic/svgic/internal/core"
 	"github.com/svgic/svgic/internal/datasets"
 	"github.com/svgic/svgic/internal/engine"
 )
@@ -66,11 +67,12 @@ func BenchmarkManagerSharded(b *testing.B) {
 // session of 40 independent 25-user subgroups after a single preference
 // event. The delta mode is the default pipeline: re-solve only the one dirty
 // component and overlay it, warm-started from the incumbent. The full mode
-// disables both (NoDeltaRepair + NoWarmStart), re-solving the whole
-// 1000-user instance cold every cycle — the pre-incremental behavior. The
-// engine cache is disabled so each cycle pays for its solves; RepairMargin
-// -1 makes every cycle a swap, keeping the two modes on the same code path
-// every iteration instead of diverging into keeps.
+// backs the session with a solver stripped of ComponentSafe and WarmStarter
+// (engine.Uncached), so every cycle re-solves the whole 1000-user instance
+// cold, on one worker — the pre-incremental repair. The engine cache is
+// disabled so each cycle pays for its solves; RepairMargin -1 makes every
+// cycle a swap, keeping the two modes on the same code path every iteration
+// instead of diverging into keeps.
 func BenchmarkRepairCycle(b *testing.B) {
 	in := datasets.MultiGroup(7, 40, 25, 30, 2, 0.5)
 	prefs := make([][]float64, 2)
@@ -82,23 +84,21 @@ func BenchmarkRepairCycle(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name string
-		opts Options
+		spec CreateSpec
 	}{
-		{name: "delta", opts: Options{RepairMargin: -1}},
-		{name: "full", opts: Options{RepairMargin: -1, NoDeltaRepair: true, NoWarmStart: true}},
+		{name: "delta"},
+		{name: "full", spec: CreateSpec{Solver: engine.Uncached{S: &core.AVGDSolver{}}}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng := engine.New(engine.Options{Workers: 2, CacheSize: -1})
 			defer eng.Close()
-			opts := mode.opts
-			opts.Engine = eng
-			m, err := NewManager(opts)
+			m, err := NewManager(Options{Engine: eng, RepairMargin: -1})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer m.Close()
 			ctx := context.Background()
-			snap, _, err := m.CreateWith(ctx, in, CreateSpec{})
+			snap, _, err := m.CreateWith(ctx, in, mode.spec)
 			if err != nil {
 				b.Fatal(err)
 			}

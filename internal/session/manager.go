@@ -78,14 +78,6 @@ type Options struct {
 	// one-off seed from crypto/rand — unguessable ids, explicitly not
 	// derived from the clock or the global math/rand source.
 	Seed uint64
-	// NoDeltaRepair disables the dirty-component delta re-solve: every
-	// repair cycle clones and re-solves the whole instance, as before the
-	// incremental path existed. For benchmarking the delta win and for
-	// tests that need whole-solve semantics.
-	NoDeltaRepair bool
-	// NoWarmStart disables warm-starting repair solves from the session's
-	// incumbent configuration, forcing every repair solve cold.
-	NoWarmStart bool
 	// RepairObserver, when set, receives the wall time of every drift-repair
 	// cycle that got past the version check and did repair work (delta or
 	// whole; version-unchanged skips are not observed). Called synchronously
@@ -132,8 +124,6 @@ type Manager struct {
 	ttl            time.Duration
 	repairMargin   float64
 	repairTimeout  time.Duration
-	noDeltaRepair  bool
-	noWarmStart    bool
 	persister      Persister
 	snapshotEvery  int
 	repairObserver func(d time.Duration)
@@ -188,8 +178,6 @@ func NewManager(opts Options) (*Manager, error) {
 		ttl:            opts.TTL,
 		repairMargin:   opts.RepairMargin,
 		repairTimeout:  opts.RepairTimeout,
-		noDeltaRepair:  opts.NoDeltaRepair,
-		noWarmStart:    opts.NoWarmStart,
 		persister:      opts.Persister,
 		snapshotEvery:  opts.SnapshotEvery,
 		repairObserver: opts.RepairObserver,
@@ -326,17 +314,6 @@ type CreateSpec struct {
 	// it is evicted after this long idle even on a manager whose Options.TTL
 	// is zero. The override survives crash recovery (it travels in State).
 	TTL time.Duration
-}
-
-// Create solves the instance through the engine (with the given solver, or
-// the engine default when nil) and registers a live session seeded with the
-// solution.
-//
-// Deprecated: the positional (solver, sizeCap) signature cannot grow; use
-// CreateWith, whose CreateSpec carries solver, cap, solver reference and the
-// per-session TTL override. This wrapper only delegates.
-func (m *Manager) Create(ctx context.Context, in *core.Instance, solver core.Solver, sizeCap int) (Snapshot, *core.Solution, error) {
-	return m.CreateWith(ctx, in, CreateSpec{Solver: solver, SizeCap: sizeCap})
 }
 
 // CreateWith solves the instance through the engine and registers a live
@@ -569,7 +546,7 @@ func (m *Manager) repairOne(ctx context.Context, sh *shard, s *Session) {
 	// under a size cap (the cap couples components through shared units — the
 	// session's contract since capped sessions solve whole) and never for a
 	// solver that declares itself component-unsafe.
-	deltaOK := !m.noDeltaRepair && s.ds.SizeCap() == 0
+	deltaOK := s.ds.SizeCap() == 0
 	if deltaOK {
 		cs, ok := base.(core.ComponentSafe)
 		deltaOK = ok && cs.DecomposeSafe()
@@ -642,12 +619,10 @@ func (m *Manager) repairDelta(ctx context.Context, sh *shard, s *Session, base c
 		origs[i] = orig
 		incs[i] = core.Evaluate(sub, subConf).Weighted()
 		sv := base
-		if !m.noWarmStart {
-			if ws, ok := base.(core.WarmStarter); ok {
-				if w := ws.WarmStart(subConf); w != nil {
-					sv = w
-					warmed++
-				}
+		if ws, ok := base.(core.WarmStarter); ok {
+			if w := ws.WarmStart(subConf); w != nil {
+				sv = w
+				warmed++
 			}
 		}
 		// Warm solvers depend on this session's incumbent and sub-instances
@@ -756,12 +731,10 @@ func (m *Manager) repairWhole(ctx context.Context, sh *shard, s *Session, base c
 	version, current := s.version, s.value
 	solver := s.solver
 	warm := false
-	if !m.noWarmStart {
-		if ws, ok := base.(core.WarmStarter); ok {
-			if w := ws.WarmStart(s.ds.Config()); w != nil {
-				solver = engine.Uncached{S: w}
-				warm = true
-			}
+	if ws, ok := base.(core.WarmStarter); ok {
+		if w := ws.WarmStart(s.ds.Config()); w != nil {
+			solver = engine.Uncached{S: w}
+			warm = true
 		}
 	}
 	s.mu.Unlock()

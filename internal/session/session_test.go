@@ -225,12 +225,13 @@ func TestManagerTTLEviction(t *testing.T) {
 // bump, swap counter); a session already at the re-solved value keeps its
 // configuration.
 func TestDriftRepairSwapsAndKeeps(t *testing.T) {
-	// Whole-instance, cold re-solves: the delta path and warm starts have
-	// their own tests; this one pins the classic swap/keep state machine.
-	m, _ := newTestManager(t, Options{RepairMargin: -1, NoDeltaRepair: true, NoWarmStart: true}) // swap on any strict improvement
+	m, _ := newTestManager(t, Options{RepairMargin: -1}) // swap on any strict improvement
 	ctx := context.Background()
 	in := testInstance(6)
-	snap, sol, err := m.CreateWith(ctx, in, CreateSpec{})
+	// Whole-instance, cold re-solves: the delta path and warm starts have
+	// their own tests; this one pins the classic swap/keep state machine. A
+	// solver stripped of ComponentSafe and WarmStarter selects that path.
+	snap, sol, err := m.CreateWith(ctx, in, CreateSpec{Solver: engine.Uncached{S: &core.AVGDSolver{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestDriftRepairSwapsAndKeeps(t *testing.T) {
 		t.Fatalf("manager repair stats = %+v", st)
 	}
 	if st.RepairCold != 2 || st.RepairWarm != 0 {
-		t.Fatalf("NoWarmStart manager ran warm solves: %+v", st)
+		t.Fatalf("cold-only solver ran warm solves: %+v", st)
 	}
 
 	// Third cycle: nothing moved since the keep — skipped without a solve.
@@ -320,7 +321,6 @@ func TestDriftRepairStale(t *testing.T) {
 		NewSolver: func() core.Solver {
 			return &gatedSolver{gate: gate, started: started, inner: &core.AVGDSolver{}}
 		},
-		NoDecompose: true,
 	})
 	t.Cleanup(eng.Close)
 	m, _ := newTestManager(t, Options{Engine: eng, RepairMargin: -1})
@@ -637,15 +637,15 @@ func TestDriftRepairDelta(t *testing.T) {
 	}
 }
 
-// TestDriftRepairWholeWarm: a repair forced onto the whole-instance path
-// still warm-starts when the solver supports it, and a warm-started repair
-// never lands below the incumbent value (the incumbent is the floor of the
-// warm solve).
+// TestDriftRepairWholeWarm: a repair on the whole-instance path (a size-capped
+// session, here with a cap that never binds) still warm-starts when the
+// solver supports it, and a warm-started repair never lands below the
+// incumbent value (the incumbent is the floor of the warm solve).
 func TestDriftRepairWholeWarm(t *testing.T) {
-	m, _ := newTestManager(t, Options{RepairMargin: -1, NoDeltaRepair: true})
+	m, _ := newTestManager(t, Options{RepairMargin: -1})
 	ctx := context.Background()
 	in := testInstance(6)
-	snap, _, err := m.CreateWith(ctx, in, CreateSpec{})
+	snap, _, err := m.CreateWith(ctx, in, CreateSpec{SizeCap: in.NumUsers()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,23 +153,6 @@ func TestTTLOverrideArmsShardSweep(t *testing.T) {
 	t.Fatal("session with a 40ms TTL override never evicted by the shard sweep")
 }
 
-// TestDeprecatedCreateDelegates: the positional wrapper still works and is
-// exactly CreateWith with a two-field spec.
-func TestDeprecatedCreateDelegates(t *testing.T) {
-	m, _ := newTestManager(t, Options{})
-	//lint:ignore SA1019 the deprecated wrapper is exercised deliberately
-	snap, sol, err := m.Create(context.Background(), testInstance(65), nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol == nil || snap.SizeCap != 3 {
-		t.Fatalf("wrapper lost its arguments: sizeCap=%d sol=%v", snap.SizeCap, sol)
-	}
-	if err := m.Delete(snap.ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestShardStatsMergeToManagerStats: the per-shard counter slices sum to
 // the merged Stats, and live counts agree between the global atomic and the
 // per-shard ones — no counter is dropped or double-attributed by sharding.

@@ -171,24 +171,6 @@ func NewInstance(g *Graph, numItems, k int, lambda float64) *Instance {
 // slots), useful for building configurations by hand.
 func NewConfiguration(n, k int) *Configuration { return core.NewConfiguration(n, k) }
 
-// SolveAVG runs the randomized AVG pipeline (LP relaxation + CSF rounding).
-//
-// Deprecated: thin wrapper kept for compatibility; it cannot be canceled and
-// returns no Solution. Use NewSolver("avg", params) (or AVG(opts)) and
-// Solve(ctx, in) instead.
-func SolveAVG(in *Instance, opts AVGOptions) (*Configuration, RoundingStats, error) {
-	return core.SolveAVG(in, opts)
-}
-
-// SolveAVGD runs the deterministic AVG-D pipeline.
-//
-// Deprecated: thin wrapper kept for compatibility; it cannot be canceled and
-// returns no Solution. Use NewSolver("avgd", params) (or AVGD(opts)) and
-// Solve(ctx, in) instead.
-func SolveAVGD(in *Instance, opts AVGDOptions) (*Configuration, RoundingStats, error) {
-	return core.SolveAVGD(in, opts)
-}
-
 // Evaluate scores a configuration under plain SVGIC (Definition 3).
 func Evaluate(in *Instance, conf *Configuration) Report { return core.Evaluate(in, conf) }
 

@@ -110,25 +110,12 @@ func TestPublicAPIST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deprecated one-shot wrapper must keep delegating to the same path
-	// as the Solver API (compat contract of the v2 redesign).
-	//lint:ignore SA1019 the deprecated wrapper is exercised deliberately
-	conf, st, err := svgic.SolveAVG(in, svgic.AVGOptions{Seed: 2, SizeCap: 3})
+	sol, err := svgic.AVG(svgic.AVGOptions{Seed: 2, SizeCap: 3}).Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped, err := svgic.AVG(svgic.AVGOptions{Seed: 2, SizeCap: 3}).Solve(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range conf.Assign {
-		for k := range conf.Assign[u] {
-			if conf.Assign[u][k] != wrapped.Config.Assign[u][k] {
-				t.Fatalf("deprecated SolveAVG diverges from AVG().Solve at (%d,%d)", u, k)
-			}
-		}
-	}
-	if st.LPObjective <= 0 {
+	conf := sol.Config
+	if sol.Rounding == nil || sol.Rounding.LPObjective <= 0 {
 		t.Error("no LP objective reported")
 	}
 	if v := conf.SizeViolations(3); v != 0 {
