@@ -269,6 +269,40 @@ func TestStructuredSolverNearExact(t *testing.T) {
 	}
 }
 
+// TestStructuredDefaultsNearExact is the LP-quality oracle for the options
+// the server actually runs: Solve with default RelaxOptions against the
+// dense-simplex optimum on 40 small random relaxations. AVG-D's guarantee is
+// 4/β in the β the structured solver reaches (Corollary 4.2), so a cheaper
+// solver must not let the worst or mean ratio slip below these floors.
+func TestStructuredDefaultsNearExact(t *testing.T) {
+	const runs = 40
+	worst, sum := math.Inf(1), 0.0
+	for s := 1; s <= runs; s++ {
+		n := 5 + s%4
+		pairs := min(n+s%5, n*(n-1)/2)
+		rx := randomRelaxation(uint64(100+s), n, 8, 3, pairs)
+		_, exact, err := rx.SolveExact()
+		if err != nil {
+			t.Fatalf("s=%d: exact: %v", s, err)
+		}
+		_, obj := rx.Solve(RelaxOptions{Seed: uint64(s)})
+		if obj > exact+1e-6 {
+			t.Errorf("s=%d: structured %.9f exceeds exact optimum %.9f", s, obj, exact)
+		}
+		ratio := obj / exact
+		worst = min(worst, ratio)
+		sum += ratio
+	}
+	mean := sum / runs
+	t.Logf("default options: worst obj/exact %.4f, mean %.4f", worst, mean)
+	if worst < 0.95 {
+		t.Errorf("worst obj/exact %.4f below 0.95", worst)
+	}
+	if mean < 0.98 {
+		t.Errorf("mean obj/exact %.4f below 0.98", mean)
+	}
+}
+
 func TestStructuredSolverIndifferentInstance(t *testing.T) {
 	// Lemma 3's instance: all preferences zero, all pair weights equal.
 	// Any point with x[u] identical across users is optimal; the solver must
