@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench bench-sessions bench-dynamic fmt fmt-check vet lint lint-internal lint-fixtures perfbench-check check serve-smoke session-smoke crash-smoke slo-smoke
+.PHONY: build test test-short fuzz bench bench-sessions bench-dynamic bench-lp fmt fmt-check vet lint lint-internal lint-fixtures perfbench-check check serve-smoke session-smoke crash-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,14 @@ test:
 # Fast racy lane — what the CI `check` job runs.
 test-short:
 	$(GO) test -race -short ./...
+
+# Native fuzz targets, 10s each — a CI `check` step. FuzzProjectCappedSimplex
+# feeds arbitrary float64 bit patterns (NaN and ±Inf included) to the LP's
+# capped-simplex projection and checks it against its bisection reference. A
+# failing input is saved under the package's testdata/fuzz/, where plain
+# `go test` replays it.
+fuzz:
+	$(GO) test ./internal/lp -run='^$$' -fuzz='^FuzzProjectCappedSimplex$$' -fuzztime=10s
 
 # Benchmark smoke: one iteration of every benchmark, no tests.
 bench:
@@ -37,6 +45,14 @@ bench-dynamic:
 	( $(GO) test ./internal/core -run='^$$' -bench='BenchmarkDynamicEvent' -benchtime=500ms ; \
 	  $(GO) test ./internal/session -run='^$$' -bench='BenchmarkRepairCycle' -benchtime=500ms ) \
 		| $(GO) run ./cmd/benchjson -o BENCH_dynamic.json
+
+# LP-layer benchmark, written to BENCH_lp.json: one op solves the structured
+# LP relaxation of every component of 40 cold-solve-shaped groups with the
+# default options svgicd runs. ns/op moves with the host; B/op and allocs/op
+# do not, so an allocation regression in the LP shows as a diff here.
+bench-lp:
+	$(GO) test ./internal/core -run='^$$' -bench='^BenchmarkSolveRelaxation$$' -benchmem -benchtime=10x \
+		| $(GO) run ./cmd/benchjson -o BENCH_lp.json
 
 # -s (simplify) included: composite-literal and range simplifications are
 # enforced, not just layout.
@@ -140,4 +156,4 @@ crash-smoke:
 	./bin/svgicd -loadgen -dynamic -crash -data-dir bin/crash-data-always -fsync always -snapshot-every 16 -sessions 4 -session-shards 4 -requests 240 -workers 2 -seed 11
 	./bin/svgicd -loadgen -dynamic -crash -data-dir bin/crash-data-off -fsync off -snapshot-every 16 -sessions 4 -session-shards 4 -requests 240 -workers 2 -seed 12
 
-check: fmt-check vet lint build test-short perfbench-check
+check: fmt-check vet lint build test-short fuzz perfbench-check

@@ -62,8 +62,9 @@ func SolveAVG(in *Instance, opts AVGOptions) (*Configuration, RoundingStats, err
 }
 
 // solveAVG is the context-aware pipeline behind SolveAVG and AVGSolver: the
-// context is checked before the LP relaxation, between the LP and rounding
-// phases, and between rounding repeats.
+// context is checked before the LP relaxation, inside it between passes and
+// polish steps, between the LP and rounding phases, and between rounding
+// repeats.
 func solveAVG(ctx context.Context, in *Instance, opts AVGOptions) (*Configuration, RoundingStats, error) {
 	if err := in.Validate(); err != nil {
 		return nil, RoundingStats{}, err
@@ -82,7 +83,7 @@ func solveAVG(ctx context.Context, in *Instance, opts AVGOptions) (*Configuratio
 	if warm != nil {
 		lpOpts.Warm = warmIndicator(in, warm)
 	}
-	f, err := SolveRelaxation(in, opts.LPMode, lpOpts)
+	f, err := solveRelaxation(ctx, in, opts.LPMode, lpOpts)
 	if err != nil {
 		return nil, RoundingStats{}, err
 	}

@@ -79,10 +79,11 @@ func SolveAVGD(in *Instance, opts AVGDOptions) (*Configuration, RoundingStats, e
 }
 
 // solveAVGD is the context-aware pipeline behind SolveAVGD and AVGDSolver:
-// the context is checked before the LP relaxation, between the LP and
-// rounding phases, and between component sub-solves. The returned count is
-// the number of independently solved components (1 = solved whole), so the
-// Solution envelope can report the internal decomposition honestly.
+// the context is checked before the LP relaxation, inside it between passes
+// and polish steps, between the LP and rounding phases, and between
+// component sub-solves. The returned count is the number of independently
+// solved components (1 = solved whole), so the Solution envelope can report
+// the internal decomposition honestly.
 func solveAVGD(ctx context.Context, in *Instance, opts AVGDOptions) (*Configuration, RoundingStats, int, error) {
 	if err := in.Validate(); err != nil {
 		return nil, RoundingStats{}, 0, err
@@ -111,7 +112,7 @@ func solveAVGD(ctx context.Context, in *Instance, opts AVGDOptions) (*Configurat
 	if warm != nil {
 		lpOpts.Warm = warmIndicator(in, warm)
 	}
-	f, err := SolveRelaxation(in, opts.LPMode, lpOpts)
+	f, err := solveRelaxation(ctx, in, opts.LPMode, lpOpts)
 	if err != nil {
 		return nil, RoundingStats{}, 0, err
 	}
@@ -146,7 +147,7 @@ func solveAVGDComponents(ctx context.Context, in *Instance, subs []*Instance, or
 			subWarm = warmRows(opts.Warm, origs[i], in.K)
 			subLP.Warm = warmIndicator(sub, subWarm)
 		}
-		f, err := SolveRelaxation(sub, subOpts.LPMode, subLP)
+		f, err := solveRelaxation(ctx, sub, subOpts.LPMode, subLP)
 		if err != nil {
 			return nil, RoundingStats{}, err
 		}

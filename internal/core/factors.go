@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -60,10 +61,20 @@ func FactorsFromCondensed(in *Instance, X [][]float64) *Factors {
 // LP mode. For LPStructured, lpOpts tunes the solver; the exact modes ignore
 // it.
 func SolveRelaxation(in *Instance, mode LPMode, lpOpts lp.RelaxOptions) (*Factors, error) {
+	return solveRelaxation(context.Background(), in, mode, lpOpts)
+}
+
+// solveRelaxation is SolveRelaxation under ctx: the structured solver
+// returns ctx.Err() unwrapped between its passes and polish steps, so a
+// request deadline bounds the LP however many iterations lpOpts asks for.
+func solveRelaxation(ctx context.Context, in *Instance, mode LPMode, lpOpts lp.RelaxOptions) (*Factors, error) {
 	rx := in.Relaxation()
 	switch mode {
 	case LPStructured:
-		X, obj := rx.Solve(lpOpts)
+		X, obj, err := rx.Solve(ctx, lpOpts)
+		if err != nil {
+			return nil, err
+		}
 		return &Factors{X: X, K: in.K, Objective: obj}, nil
 	case LPSimplexCondensed:
 		X, obj, err := rx.SolveExact()

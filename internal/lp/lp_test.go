@@ -1,9 +1,12 @@
 package lp
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/svgic/svgic/internal/stats"
 )
@@ -235,6 +238,37 @@ func randomRelaxation(seed uint64, n, m, k, pairs int) *Relaxation {
 	return rx
 }
 
+func mustSolve(t *testing.T, rx *Relaxation, opts RelaxOptions) ([][]float64, float64) {
+	t.Helper()
+	X, obj, err := rx.Solve(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return X, obj
+}
+
+// TestStructuredSolverHonorsContext: a done context stops Solve between
+// passes and polish steps with ctx.Err(), whatever the iteration budget.
+func TestStructuredSolverHonorsContext(t *testing.T) {
+	rx := randomRelaxation(5, 6, 8, 3, 8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if X, _, err := rx.Solve(ctx, RelaxOptions{Seed: 1}); !errors.Is(err, context.Canceled) || X != nil {
+		t.Fatalf("canceled before start: X=%v err=%v, want nil and context.Canceled", X, err)
+	}
+	for _, opts := range []RelaxOptions{
+		{MaxPasses: 1 << 30, Tol: 1e-300, Restarts: 1 << 30},
+		{PolishIters: 1 << 30},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, _, err := rx.Solve(ctx, opts)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%+v: err = %v, want context.DeadlineExceeded", opts, err)
+		}
+	}
+}
+
 func TestStructuredSolverNearExact(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		rx := randomRelaxation(seed, 4, 5, 2, 4)
@@ -242,7 +276,7 @@ func TestStructuredSolverNearExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}
-		X, obj := rx.Solve(RelaxOptions{Seed: seed, MaxPasses: 60, PolishIters: 150, Restarts: 2})
+		X, obj := mustSolve(t, rx, RelaxOptions{Seed: seed, MaxPasses: 60, PolishIters: 150, Restarts: 2})
 		if obj > exact+1e-6 {
 			t.Errorf("seed %d: structured %.6f exceeds exact optimum %.6f", seed, obj, exact)
 		}
@@ -285,7 +319,7 @@ func TestStructuredDefaultsNearExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("s=%d: exact: %v", s, err)
 		}
-		_, obj := rx.Solve(RelaxOptions{Seed: uint64(s)})
+		_, obj := mustSolve(t, rx, RelaxOptions{Seed: uint64(s)})
 		if obj > exact+1e-6 {
 			t.Errorf("s=%d: structured %.9f exceeds exact optimum %.9f", s, obj, exact)
 		}
@@ -323,7 +357,7 @@ func TestStructuredSolverIndifferentInstance(t *testing.T) {
 			rx.PairW = append(rx.PairW, row)
 		}
 	}
-	_, obj := rx.Solve(RelaxOptions{Seed: 3})
+	_, obj := mustSolve(t, rx, RelaxOptions{Seed: 3})
 	want := float64(len(rx.Pairs) * k)
 	if math.Abs(obj-want) > 1e-6 {
 		t.Errorf("objective = %v, want %v", obj, want)
@@ -357,7 +391,7 @@ func TestUpperBoundSandwichesOptimum(t *testing.T) {
 		if ub < exact-1e-6 {
 			t.Errorf("seed %d: upper bound %.6f below LP optimum %.6f", seed, ub, exact)
 		}
-		_, feasible := rx.Solve(RelaxOptions{Seed: seed})
+		_, feasible := mustSolve(t, rx, RelaxOptions{Seed: seed})
 		if feasible > ub+1e-6 {
 			t.Errorf("seed %d: feasible objective %.6f exceeds upper bound %.6f", seed, feasible, ub)
 		}
@@ -383,7 +417,7 @@ func TestMethodsAgreeOnEasyInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bcd := rx.Solve(RelaxOptions{Seed: 1})
+	_, bcd := mustSolve(t, rx, RelaxOptions{Seed: 1})
 	if math.Abs(bcd-exact) > 1e-6 {
 		t.Errorf("block-coordinate %.6f != exact %.6f", bcd, exact)
 	}
@@ -396,9 +430,9 @@ func TestMethodsAgreeOnEasyInstance(t *testing.T) {
 func TestStructuredSolverWarmStart(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rx := randomRelaxation(seed, 5, 6, 2, 6)
-		coldX, coldObj := rx.Solve(RelaxOptions{Seed: seed})
+		coldX, coldObj := mustSolve(t, rx, RelaxOptions{Seed: seed})
 
-		warmX, warmObj := rx.Solve(RelaxOptions{Seed: seed + 99, Warm: coldX})
+		warmX, warmObj := mustSolve(t, rx, RelaxOptions{Seed: seed + 99, Warm: coldX})
 		if warmObj < coldObj-1e-9 {
 			t.Fatalf("seed %d: warm solve from the cold optimum regressed: %v -> %v", seed, coldObj, warmObj)
 		}
@@ -422,7 +456,7 @@ func TestStructuredSolverWarmStart(t *testing.T) {
 
 		// Garbage warm inputs: wrong shape is ignored (cold path), values
 		// outside [0,1] and NaN are clamped and projected back to feasibility.
-		if _, obj := rx.Solve(RelaxOptions{Seed: seed, Warm: coldX[:len(coldX)-1]}); math.Abs(obj-coldObj) > 1e-9 {
+		if _, obj := mustSolve(t, rx, RelaxOptions{Seed: seed, Warm: coldX[:len(coldX)-1]}); math.Abs(obj-coldObj) > 1e-9 {
 			t.Fatalf("seed %d: mis-dimensioned warm input changed the cold result: %v vs %v", seed, obj, coldObj)
 		}
 		dirty := make([][]float64, rx.NumUsers)
@@ -434,7 +468,7 @@ func TestStructuredSolverWarmStart(t *testing.T) {
 			dirty[u][0] = math.NaN()
 			dirty[u][1] = -3
 		}
-		dX, _ := rx.Solve(RelaxOptions{Seed: seed, Warm: dirty})
+		dX, _ := mustSolve(t, rx, RelaxOptions{Seed: seed, Warm: dirty})
 		for u, row := range dX {
 			var sum float64
 			for _, x := range row {

@@ -1,8 +1,9 @@
 package lp
 
 import (
+	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/svgic/svgic/internal/stats"
 )
@@ -62,7 +63,7 @@ func (rx *Relaxation) Objective(X [][]float64) float64 {
 		wu, wv := X[p[0]], X[p[1]]
 		we := rx.PairW[e]
 		for c := 0; c < rx.NumItems; c++ {
-			obj += we[c] * math.Min(wu[c], wv[c])
+			obj += we[c] * min(wu[c], wv[c])
 		}
 	}
 	return obj
@@ -108,44 +109,85 @@ func (o *RelaxOptions) fill() {
 // greedy over slope segments) followed by a projected-supergradient polish.
 // It returns the best feasible point found and its objective — a valid
 // β-approximate LP solution in the sense of Corollary 4.2 of the paper.
-func (rx *Relaxation) Solve(opts RelaxOptions) ([][]float64, float64) {
+//
+// ctx is checked once per block-coordinate pass and once per polish step:
+// once it is done, Solve returns ctx.Err() and no point, so a deadline bounds
+// the solve whatever MaxPasses, PolishIters and Restarts ask for.
+func (rx *Relaxation) Solve(ctx context.Context, opts RelaxOptions) ([][]float64, float64, error) {
 	opts.fill()
 	rx.buildAdj()
+	ws := rx.newWorkspace()
 	r := stats.NewRand(opts.Seed + 0x51a7)
 
-	bestObj := math.Inf(-1)
 	var bestX [][]float64
-	if warm := rx.warmPoint(opts.Warm); warm != nil {
+	bestObj := math.Inf(-1)
+	if warm := rx.warmPoint(opts.Warm, ws); warm != nil {
 		// Warm start: ascend from the supplied point only. A near-optimal
 		// seed converges in a couple of sweeps; running the cold restarts
 		// too would throw the saving away.
-		rx.blockCoordinateAscent(warm, opts, r)
-		bestX = warm
-		bestObj = rx.Objective(warm)
+		if err := rx.blockCoordinateAscent(ctx, warm, opts, r, ws); err != nil {
+			return nil, 0, err
+		}
+		bestX, bestObj = warm, rx.Objective(warm)
 	} else {
+		// Each restart ascends in X; a better result swaps places with
+		// bestX, and the next restart overwrites the loser.
+		X := newMatrix(rx.NumUsers, rx.NumItems)
+		bestX = newMatrix(rx.NumUsers, rx.NumItems)
 		for restart := 0; restart < opts.Restarts+1; restart++ {
-			X := rx.initialPoint(restart)
-			rx.blockCoordinateAscent(X, opts, r)
-			obj := rx.Objective(X)
-			if obj > bestObj {
+			rx.initialPoint(X, restart, ws)
+			if err := rx.blockCoordinateAscent(ctx, X, opts, r, ws); err != nil {
+				return nil, 0, err
+			}
+			if obj := rx.Objective(X); obj > bestObj {
 				bestObj = obj
-				bestX = X
+				bestX, X = X, bestX
 			}
 		}
 	}
 	if opts.PolishIters > 0 {
-		px, pobj := rx.polish(cloneMatrix(bestX), opts.PolishIters)
-		if pobj > bestObj {
-			bestObj, bestX = pobj, px
-		}
+		return rx.polish(ctx, bestX, opts.PolishIters, ws)
 	}
-	return bestX, bestObj
+	return bestX, bestObj, nil
+}
+
+// workspace is the scratch one Solve call reuses across its restarts,
+// sweeps, blocks and polish steps, so none of those loops allocates. It
+// lives for that call only: the point Solve returns may be one of its
+// matrices.
+type workspace struct {
+	segs  []segment   // solveBlock: slope segments of one user's row (cap m·(maxdeg+1))
+	thr   []threshold // solveBlock: neighbour thresholds of one item (cap maxdeg)
+	order []int       // block-coordinate sweep order
+	proj  []float64   // projectCappedSimplex's sort buffer
+	score []float64   // initialPoint: item scores of one user
+	idx   []int       // initialPoint: items ranked by score
+	grad  [][]float64 // polish: supergradient
+	best  [][]float64 // polish: best iterate
+}
+
+func (rx *Relaxation) newWorkspace() *workspace {
+	n, m := rx.NumUsers, rx.NumItems
+	deg := 0
+	for _, a := range rx.adj {
+		deg = max(deg, len(a))
+	}
+	return &workspace{
+		segs:  make([]segment, 0, m*(deg+1)),
+		thr:   make([]threshold, 0, deg),
+		order: make([]int, n),
+		proj:  make([]float64, m),
+		score: make([]float64, m),
+		idx:   make([]int, m),
+		grad:  newMatrix(n, m),
+		best:  newMatrix(n, m),
+	}
 }
 
 // warmPoint validates and feasibility-projects a caller-supplied warm-start
 // point: nil unless warm is exactly [NumUsers][NumItems]; otherwise a clamped
 // copy with every row projected onto the capped simplex Σ_c x = K, 0 ≤ x ≤ 1.
-func (rx *Relaxation) warmPoint(warm [][]float64) [][]float64 {
+func (rx *Relaxation) warmPoint(warm [][]float64, ws *workspace) [][]float64 {
 	if len(warm) != rx.NumUsers {
 		return nil
 	}
@@ -154,43 +196,40 @@ func (rx *Relaxation) warmPoint(warm [][]float64) [][]float64 {
 			return nil
 		}
 	}
-	X := cloneMatrix(warm)
-	for _, row := range X {
-		for c, x := range row {
+	X := newMatrix(rx.NumUsers, rx.NumItems)
+	for u, row := range X {
+		for c, x := range warm[u] {
 			if math.IsNaN(x) || x < 0 {
-				row[c] = 0
+				x = 0
 			} else if x > 1 {
-				row[c] = 1
+				x = 1
 			}
+			row[c] = x
 		}
-		ProjectCappedSimplex(row, float64(rx.K))
+		projectCappedSimplex(row, float64(rx.K), ws.proj)
 	}
 	return X
 }
 
-// initialPoint builds a feasible start: restart 0 spreads the budget
-// uniformly; later restarts concentrate it on the top-K preferred items with
-// a uniform floor, which helps escape the symmetric stall points of the
-// uniform start.
-func (rx *Relaxation) initialPoint(restart int) [][]float64 {
-	n, m, k := rx.NumUsers, rx.NumItems, rx.K
-	X := make([][]float64, n)
+// initialPoint overwrites X with a feasible start: restart 0 spreads the
+// budget uniformly; later restarts concentrate it on the top-K preferred
+// items with a uniform floor, which helps escape the symmetric stall points
+// of the uniform start.
+func (rx *Relaxation) initialPoint(X [][]float64, restart int, ws *workspace) {
+	m, k := rx.NumItems, rx.K
 	if restart == 0 || m == k {
-		for u := range X {
-			row := make([]float64, m)
-			v := float64(k) / float64(m)
+		v := float64(k) / float64(m)
+		for _, row := range X {
 			for c := range row {
 				row[c] = v
 			}
-			X[u] = row
 		}
-		return X
+		return
 	}
-	for u := range X {
-		row := make([]float64, m)
+	score, idx := ws.score, ws.idx
+	for u, row := range X {
 		// Score items by preference plus total incident social weight so the
 		// start already reflects shared interests.
-		score := make([]float64, m)
 		copy(score, rx.Pref[u])
 		for _, pr := range rx.adj[u] {
 			we := rx.PairW[pr.pair]
@@ -198,24 +237,29 @@ func (rx *Relaxation) initialPoint(restart int) [][]float64 {
 				score[c] += 0.5 * we[c]
 			}
 		}
-		idx := make([]int, m)
 		for i := range idx {
 			idx[i] = i
 		}
-		sort.Slice(idx, func(a, b int) bool { return score[idx[a]] > score[idx[b]] })
+		slices.SortFunc(idx, func(a, b int) int {
+			if score[a] > score[b] {
+				return -1
+			}
+			if score[a] < score[b] {
+				return 1
+			}
+			return 0
+		})
 		// 0.8 mass on each of the top-K items, the rest spread uniformly.
 		const top = 0.8
-		for i := 0; i < k; i++ {
-			row[idx[i]] = top
-		}
 		rest := (float64(k) - top*float64(k)) / float64(m)
 		for c := range row {
-			row[c] += rest
+			row[c] = rest
 		}
-		ProjectCappedSimplex(row, float64(k))
-		X[u] = row
+		for i := 0; i < k; i++ {
+			row[idx[i]] += top
+		}
+		projectCappedSimplex(row, float64(k), ws.proj)
 	}
-	return X
 }
 
 type segment struct {
@@ -225,20 +269,42 @@ type segment struct {
 	ord   int
 }
 
-func (rx *Relaxation) blockCoordinateAscent(X [][]float64, opts RelaxOptions, r interface{ IntN(int) int }) {
-	n := rx.NumUsers
-	order := make([]int, n)
+// compareSegments orders the greedy fill: descending slope, ties resolved by
+// (coord, ord) so lower segments of a coordinate always fill first.
+func compareSegments(a, b segment) int {
+	switch {
+	case a.slope > b.slope:
+		return -1
+	case a.slope < b.slope:
+		return 1
+	case a.coord != b.coord:
+		return a.coord - b.coord
+	}
+	return a.ord - b.ord
+}
+
+// threshold is one neighbour's pair term on an item: min(x, t) weighted w.
+type threshold struct {
+	t float64
+	w float64
+}
+
+func (rx *Relaxation) blockCoordinateAscent(ctx context.Context, X [][]float64, opts RelaxOptions, r interface{ IntN(int) int }, ws *workspace) error {
+	order := ws.order
 	for i := range order {
 		order[i] = i
 	}
 	prev := rx.Objective(X)
 	for pass := 0; pass < opts.MaxPasses; pass++ {
-		for i := n - 1; i > 0; i-- {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for i := len(order) - 1; i > 0; i-- {
 			j := r.IntN(i + 1)
 			order[i], order[j] = order[j], order[i]
 		}
 		for _, u := range order {
-			rx.solveBlock(u, X)
+			rx.solveBlock(u, X, ws)
 		}
 		cur := rx.Objective(X)
 		if cur-prev <= opts.Tol*(1+math.Abs(cur)) {
@@ -246,23 +312,19 @@ func (rx *Relaxation) blockCoordinateAscent(X [][]float64, opts RelaxOptions, r 
 		}
 		prev = cur
 	}
+	return nil
 }
 
 // solveBlock exactly maximizes the relaxation over user u's row with all
 // other rows fixed: maximize Σ_c f_c(x_c) over the capped simplex, where
 // each f_c is a piecewise-linear concave function with breakpoints at the
 // neighbours' current values. Solved greedily over slope segments.
-func (rx *Relaxation) solveBlock(u int, X [][]float64) {
+func (rx *Relaxation) solveBlock(u int, X [][]float64, ws *workspace) {
 	m, k := rx.NumItems, rx.K
-	var segs []segment
-	type thr struct {
-		t float64
-		w float64
-	}
-	thrBuf := make([]thr, 0, 8)
+	segs := ws.segs[:0]
 	for c := 0; c < m; c++ {
 		base := rx.Pref[u][c]
-		thrBuf = thrBuf[:0]
+		thr := ws.thr[:0]
 		for _, pr := range rx.adj[u] {
 			w := rx.PairW[pr.pair][c]
 			if w <= 0 {
@@ -274,18 +336,26 @@ func (rx *Relaxation) solveBlock(u int, X [][]float64) {
 			} else if t < 0 {
 				t = 0
 			}
-			thrBuf = append(thrBuf, thr{t: t, w: w})
+			thr = append(thr, threshold{t: t, w: w})
 		}
-		sort.Slice(thrBuf, func(a, b int) bool { return thrBuf[a].t < thrBuf[b].t })
+		slices.SortFunc(thr, func(a, b threshold) int {
+			if a.t < b.t {
+				return -1
+			}
+			if a.t > b.t {
+				return 1
+			}
+			return 0
+		})
 		// Suffix sums give the slope of each segment: below threshold t_j the
 		// pair term min(x, t_j) still grows with x and contributes w_j.
 		suffix := 0.0
-		for _, tw := range thrBuf {
+		for _, tw := range thr {
 			suffix += tw.w
 		}
 		lo := 0.0
 		ord := 0
-		for _, tw := range thrBuf {
+		for _, tw := range thr {
 			if tw.t > lo {
 				segs = append(segs, segment{slope: base + suffix, width: tw.t - lo, coord: c, ord: ord})
 				ord++
@@ -297,17 +367,7 @@ func (rx *Relaxation) solveBlock(u int, X [][]float64) {
 			segs = append(segs, segment{slope: base, width: 1 - lo, coord: c, ord: ord})
 		}
 	}
-	// Greedy fill: take segments by descending slope; ties resolved by
-	// (coord, ord) so lower segments of a coordinate always fill first.
-	sort.Slice(segs, func(a, b int) bool {
-		if segs[a].slope != segs[b].slope {
-			return segs[a].slope > segs[b].slope
-		}
-		if segs[a].coord != segs[b].coord {
-			return segs[a].coord < segs[b].coord
-		}
-		return segs[a].ord < segs[b].ord
-	})
+	slices.SortFunc(segs, compareSegments)
 	row := X[u]
 	for c := range row {
 		row[c] = 0
@@ -343,19 +403,21 @@ func (rx *Relaxation) solveBlock(u int, X [][]float64) {
 	}
 }
 
-// polish runs projected supergradient ascent from X, returning the best
-// iterate seen and its objective.
-func (rx *Relaxation) polish(X [][]float64, iters int) ([][]float64, float64) {
+// polish runs projected supergradient ascent from X, which it overwrites,
+// returning the best iterate seen (a workspace matrix) and its objective.
+func (rx *Relaxation) polish(ctx context.Context, X [][]float64, iters int, ws *workspace) ([][]float64, float64, error) {
 	n, m, k := rx.NumUsers, rx.NumItems, rx.K
-	best := cloneMatrix(X)
-	bestObj := rx.Objective(X)
-	grad := make([][]float64, n)
-	for u := range grad {
-		grad[u] = make([]float64, m)
+	best, grad := ws.best, ws.grad
+	for u := range X {
+		copy(best[u], X[u])
 	}
+	bestObj := rx.Objective(X)
 	// Step scale: a small fraction of the budget per coordinate magnitude.
 	base := 0.25
 	for t := 1; t <= iters; t++ {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
 		for u := range grad {
 			copy(grad[u], rx.Pref[u])
 		}
@@ -393,7 +455,7 @@ func (rx *Relaxation) polish(X [][]float64, iters int) ([][]float64, float64) {
 			for c := 0; c < m; c++ {
 				xu[c] += scale * gu[c]
 			}
-			ProjectCappedSimplex(xu, float64(k))
+			projectCappedSimplex(xu, float64(k), ws.proj)
 		}
 		if obj := rx.Objective(X); obj > bestObj {
 			bestObj = obj
@@ -402,7 +464,7 @@ func (rx *Relaxation) polish(X [][]float64, iters int) ([][]float64, float64) {
 			}
 		}
 	}
-	return best, bestObj
+	return best, bestObj, nil
 }
 
 // BuildSimplexModel materializes LP_SIMP as an explicit Problem for the dense
@@ -464,11 +526,12 @@ func (rx *Relaxation) SolveExact() ([][]float64, float64, error) {
 	return X, sol.Objective, nil
 }
 
-func cloneMatrix(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i := range x {
-		out[i] = make([]float64, len(x[i]))
-		copy(out[i], x[i])
+// newMatrix allocates an n×m matrix whose rows share one backing array.
+func newMatrix(n, m int) [][]float64 {
+	data := make([]float64, n*m)
+	X := make([][]float64, n)
+	for i := range X {
+		X[i] = data[i*m : (i+1)*m : (i+1)*m]
 	}
-	return out
+	return X
 }

@@ -1,13 +1,17 @@
 package registry_test
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/svgic/svgic/internal/core"
+	"github.com/svgic/svgic/internal/datasets"
 	"github.com/svgic/svgic/internal/registry"
+	"github.com/svgic/svgic/internal/utility"
 )
 
 func TestNewValidatesParams(t *testing.T) {
@@ -153,5 +157,38 @@ func TestDecomposeSafety(t *testing.T) {
 	}
 	if safe("fmg", nil) || safe("sdp", nil) || safe("grf", nil) {
 		t.Error("whole-group/clustering baselines must not be decomposition-safe")
+	}
+}
+
+// TestLPParamsHonorCancellation: lpPasses, lpPolish and lpRestarts arrive
+// unbounded in request params, so the LP itself must stop when the request's
+// context does. An AVG or AVG-D solve asking for 2^30 polish steps, canceled
+// from another goroutine, returns context.Canceled instead of pinning its
+// worker for as long as the LP runs.
+func TestLPParamsHonorCancellation(t *testing.T) {
+	in, err := datasets.Generate(datasets.Timik, 24, 50, 5, 0.5, utility.PIERT, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"avg", "avgd"} {
+		t.Run(algo, func(t *testing.T) {
+			s := registry.MustNew(algo, registry.Params{"lpPolish": 1 << 30})
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.Solve(ctx, in)
+				done <- err
+			}()
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			case <-time.After(time.Minute):
+				t.Fatal("Solve still running a minute after cancel")
+			}
+		})
 	}
 }

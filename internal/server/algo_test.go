@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"github.com/svgic/svgic/internal/core"
+	"github.com/svgic/svgic/internal/datasets"
 	"github.com/svgic/svgic/internal/engine"
 	"github.com/svgic/svgic/internal/registry"
+	"github.com/svgic/svgic/internal/utility"
 )
 
 // newAlgoServer builds a default-engine server for the per-request algorithm
@@ -351,5 +353,37 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 	post.Body.Close()
 	if post.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/algorithms: status %d, want 405", post.StatusCode)
+	}
+}
+
+// TestLPDeadlineFreesWorker: LP iteration counts arrive unbounded in request
+// params, so a request's deadline has to stop the LP itself. An avgd request
+// asking for 2^30 polish steps under a 100ms budget answers 504, and the
+// single engine worker it ran on is free again for the next request.
+func TestLPDeadlineFreesWorker(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	t.Cleanup(eng.Close)
+	srv, err := New(Options{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	in, err := datasets.Generate(datasets.Timik, 24, 50, 5, 0.5, utility.PIERT, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := core.MarshalInstance(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, data := postJSON(t, ts.URL+"/v1/solve?timeout=100ms", withAlgo(t, body, "avgd", `{"lpPolish":1073741824}`))
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("unbounded LP under a 100ms budget: status %d, want 504: %s", resp.StatusCode, data)
+	}
+	_, small := testInstance(t, 4)
+	if resp, data := postJSON(t, ts.URL+"/v1/solve?timeout=30s", withAlgo(t, small, "avgd", "")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow-up solve on the same worker: status %d: %s", resp.StatusCode, data)
 	}
 }
