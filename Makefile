@@ -18,11 +18,15 @@ test-short:
 
 # Native fuzz targets, 10s each — a CI `check` step. FuzzProjectCappedSimplex
 # feeds arbitrary float64 bit patterns (NaN and ±Inf included) to the LP's
-# capped-simplex projection and checks it against its bisection reference. A
-# failing input is saved under the package's testdata/fuzz/, where plain
-# `go test` replays it.
+# capped-simplex projection and checks it against its bisection reference.
+# FuzzSessionApply decodes arbitrary bytes as a session events body and
+# applies them to a small session, uncapped and capped, checking after every
+# event that the value is finite and within 1e-9 of a full recompute and that
+# the configuration stays valid. A failing input is saved under the
+# package's testdata/fuzz/, where plain `go test` replays it.
 fuzz:
 	$(GO) test ./internal/lp -run='^$$' -fuzz='^FuzzProjectCappedSimplex$$' -fuzztime=10s
+	$(GO) test ./internal/session -run='^$$' -fuzz='^FuzzSessionApply$$' -fuzztime=10s
 
 # Benchmark smoke: one iteration of every benchmark, no tests.
 bench:
@@ -37,12 +41,14 @@ bench-sessions:
 		| $(GO) run ./cmd/benchjson -o BENCH_sessions.json
 
 # Dynamic hot-path benchmarks, written to BENCH_dynamic.json: per-event cost
-# of the incremental value accumulator vs a full Evaluate rescan at 1k/10k
-# users (core), and one drift-repair cycle with dirty-component delta solving
-# + warm starts vs a cold whole-instance re-solve (session). Two packages'
-# tables feed one artifact; benchjson attributes each result to its package.
+# at 1k/10k users (core) of a join, a 2-pass rebalance, and an update read
+# through the incremental value accumulator vs a full Evaluate rescan, with
+# B/op and allocs/op; and one drift-repair cycle with dirty-component delta
+# solving + warm starts vs a cold whole-instance re-solve (session). Two
+# packages' tables feed one artifact; benchjson attributes each result to its
+# package.
 bench-dynamic:
-	( $(GO) test ./internal/core -run='^$$' -bench='BenchmarkDynamicEvent' -benchtime=500ms ; \
+	( $(GO) test ./internal/core -run='^$$' -bench='BenchmarkDynamicEvent' -benchtime=500ms -benchmem ; \
 	  $(GO) test ./internal/session -run='^$$' -bench='BenchmarkRepairCycle' -benchtime=500ms ) \
 		| $(GO) run ./cmd/benchjson -o BENCH_dynamic.json
 

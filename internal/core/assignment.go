@@ -11,7 +11,56 @@ import "math"
 //
 // Implementation: Jonker–Volgenant-style shortest augmenting path on the
 // cost matrix cost = maxGain − gain, O(k²·m).
+//
+// It returns (nil, −Inf), the no-assignment result, when m < k, and also
+// when any gain is not finite or the gains span more than the costs can
+// hold: an infinite or NaN cost would leave the augmenting search without
+// an improving column, spinning forever.
 func MaxAssignment(gain [][]float64) ([]int, float64) {
+	var w assignWork
+	return w.solve(gain)
+}
+
+// assignWork holds the buffers of one assignment solve — the caller's k×m
+// gain matrix, the costs, the potentials, the matching and search state and
+// the result row — so a caller that solves many (a dynamic session, a
+// LocalSearch run) allocates them once. It is not safe for concurrent use.
+type assignWork struct {
+	gain     [][]float64
+	cost     []float64 // k×m, row-major
+	u, v     []float64 // row and column potentials, 1-based
+	minv     []float64
+	p, way   []int
+	used     []bool
+	row      []int
+	occ      []int     // capped occupancy scratch of bestResponse without counts
+	gainFlat []float64 // backing array of gain
+}
+
+// gains returns the workspace's k×m gain matrix; its contents are stale.
+func (w *assignWork) gains(k, m int) [][]float64 {
+	if len(w.gain) != k || (k > 0 && len(w.gain[0]) != m) {
+		w.gainFlat = grow(w.gainFlat, k*m)
+		w.gain = w.gain[:0]
+		for s := 0; s < k; s++ {
+			w.gain = append(w.gain, w.gainFlat[s*m:(s+1)*m:(s+1)*m])
+		}
+	}
+	return w.gain
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short; the contents are stale.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// solve is MaxAssignment on the workspace's buffers. The returned row is
+// the workspace's own and is overwritten by the next solve.
+func (w *assignWork) solve(gain [][]float64) ([]int, float64) {
 	k := len(gain)
 	if k == 0 {
 		return nil, 0
@@ -21,32 +70,48 @@ func MaxAssignment(gain [][]float64) ([]int, float64) {
 		return nil, math.Inf(-1)
 	}
 	// Convert to a minimization problem with non-negative costs.
-	maxG := math.Inf(-1)
+	maxG, minG := math.Inf(-1), math.Inf(1)
 	for s := range gain {
 		for _, g := range gain[s] {
+			if !isFinite(g) {
+				return nil, math.Inf(-1)
+			}
 			if g > maxG {
 				maxG = g
 			}
+			if g < minG {
+				minG = g
+			}
 		}
 	}
-	cost := make([][]float64, k)
-	for s := range cost {
-		cost[s] = make([]float64, m)
+	// The potentials and reduced costs stay within a few k times the cost
+	// span, so that span must be finite with room to spare.
+	if !isFinite((maxG - minG) * float64(4*k+4)) {
+		return nil, math.Inf(-1)
+	}
+	cost := grow(w.cost, k*m)
+	for s := range gain {
 		for c := 0; c < m; c++ {
-			cost[s][c] = maxG - gain[s][c]
+			cost[s*m+c] = maxG - gain[s][c]
 		}
 	}
 	// Potentials and matching (1-based sentinel style of the classic JV/
 	// Hungarian shortest-path formulation).
-	u := make([]float64, k+1)
-	v := make([]float64, m+1)
-	p := make([]int, m+1) // p[c] = row matched to column c (1-based), 0 = free
-	way := make([]int, m+1)
+	u := grow(w.u, k+1)
+	v := grow(w.v, m+1)
+	p := grow(w.p, m+1) // p[c] = row matched to column c (1-based), 0 = free
+	way := grow(w.way, m+1)
+	minv := grow(w.minv, m+1)
+	used := grow(w.used, m+1)
+	w.cost, w.u, w.v, w.p, w.way, w.minv, w.used = cost, u, v, p, way, minv, used
+	clear(u)
+	clear(v)
+	clear(p)
+	clear(way)
 	for i := 1; i <= k; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, m+1)
-		used := make([]bool, m+1)
+		clear(used)
 		for j := range minv {
 			minv[j] = math.Inf(1)
 		}
@@ -59,7 +124,7 @@ func MaxAssignment(gain [][]float64) ([]int, float64) {
 				if used[j] {
 					continue
 				}
-				cur := cost[i0-1][j-1] - u[i0] - v[j]
+				cur := cost[(i0-1)*m+j-1] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -88,7 +153,8 @@ func MaxAssignment(gain [][]float64) ([]int, float64) {
 			j0 = j1
 		}
 	}
-	assign := make([]int, k)
+	assign := grow(w.row, k)
+	w.row = assign
 	var total float64
 	for j := 1; j <= m; j++ {
 		if p[j] > 0 {
@@ -111,64 +177,84 @@ func MaxAssignment(gain [][]float64) ([]int, float64) {
 // destroy neighbours' incoming utility). cap > 0 blocks (item, slot) units
 // whose subgroup is already full without u.
 func BestResponse(in *Instance, conf *Configuration, u int, cap int) float64 {
-	return bestResponse(in, conf, u, cap, nil)
+	var w assignWork
+	return bestResponse(in, conf, u, cap, nil, &w)
 }
 
-// bestResponse is BestResponse with an optional maintained occupancy slice
-// (counts[it*k+s] over ALL rows, ghosts included — the countsFor layout).
-// With counts, the capped per-slot sizes are O(1) lookups instead of an
-// O(n·k) rescan per slot, and an applied move updates counts in place so the
-// caller's incremental bookkeeping stays exact. counts == nil falls back to
-// scanning; cap == 0 ignores counts entirely.
-func bestResponse(in *Instance, conf *Configuration, u int, cap int, counts []int) float64 {
+// fillGains writes user u's best-response gains into gain (k×m): each cell
+// (s,c) is (1−λ)·p(u,c) plus λ·(τ(u,v,c)+τ(v,u,c)) for every neighbour v
+// showing c at slot s, added in Neighbors order. Walking the neighbours once
+// and adding at each one's k items costs O(k·m + k·deg), not O(k·m·deg),
+// and each cell still receives its terms in the same order.
+func fillGains(in *Instance, conf *Configuration, u int, gain [][]float64) {
+	lam := in.Lambda
+	pref := in.Pref[u]
+	for _, row := range gain {
+		for c := range row {
+			row[c] = (1 - lam) * pref[c]
+		}
+	}
+	for _, v := range in.G.Neighbors(u) {
+		out, back := in.tauRow(u, v), in.tauRow(v, u)
+		for s, c := range conf.Assign[v] {
+			if c == Unassigned {
+				continue
+			}
+			var to, from float64
+			if out != nil {
+				to = out[c]
+			}
+			if back != nil {
+				from = back[c]
+			}
+			gain[s][c] += lam * (to + from)
+		}
+	}
+}
+
+// bestResponse is BestResponse on the workspace w, with an optional
+// maintained occupancy slice (counts[it*k+s] over ALL rows, ghosts included
+// — the countsFor layout). With counts, the capped per-unit sizes are O(1)
+// lookups instead of an O(n·k) rescan, and an applied move updates counts
+// in place so the caller's incremental bookkeeping stays exact. counts ==
+// nil falls back to scanning; cap == 0 ignores counts entirely.
+func bestResponse(in *Instance, conf *Configuration, u int, cap int, counts []int, w *assignWork) float64 {
 	k, m := in.K, in.NumItems
-	rowGain := func(c, s int) float64 {
-		g := (1 - in.Lambda) * in.Pref[u][c]
-		for _, v := range in.G.Neighbors(u) {
-			if v != u && conf.Assign[v][s] == c {
-				g += in.Lambda * in.PairSocial(u, v, c)
-			}
-		}
-		return g
-	}
+	gain := w.gains(k, m)
+	fillGains(in, conf, u, gain)
+	mine := conf.Assign[u]
 	var before float64
-	for s, c := range conf.Assign[u] {
+	for s, c := range mine {
 		if c != Unassigned {
-			before += rowGain(c, s)
+			before += gain[s][c]
 		}
 	}
-	gain := make([][]float64, k)
-	for s := 0; s < k; s++ {
-		gain[s] = make([]float64, m)
-		var size map[int]int
-		if cap > 0 && counts == nil {
-			size = make(map[int]int)
-			for v := 0; v < in.NumUsers(); v++ {
-				if v != u && conf.Assign[v][s] != Unassigned {
-					size[conf.Assign[v][s]]++
-				}
-			}
-		}
-		for c := 0; c < m; c++ {
-			if cap > 0 {
-				occ := 0
-				if counts != nil {
-					occ = counts[c*k+s]
-					if conf.Assign[u][s] == c {
-						occ-- // counts include u's own row; the cap excludes it
+	if cap > 0 {
+		// u's own row adds to a unit's occupancy only at u's incumbent units,
+		// which are never blocked, so counting every row is the occupancy
+		// without u wherever it matters.
+		occ := counts
+		if occ == nil {
+			occ = grow(w.occ, m*k)
+			w.occ = occ
+			clear(occ)
+			for _, row := range conf.Assign {
+				for s, c := range row {
+					if c != Unassigned {
+						occ[c*k+s]++
 					}
-				} else {
-					occ = size[c]
-				}
-				if occ >= cap && conf.Assign[u][s] != c {
-					gain[s][c] = capBlocked
-					continue
 				}
 			}
-			gain[s][c] = rowGain(c, s)
+		}
+		for s, row := range gain {
+			for c := range row {
+				if occ[c*k+s] >= cap && mine[s] != c {
+					row[c] = capBlocked
+				}
+			}
 		}
 	}
-	assign, after := MaxAssignment(gain)
+	assign, after := w.solve(gain)
 	if assign == nil {
 		return 0
 	}
@@ -181,7 +267,7 @@ func bestResponse(in *Instance, conf *Configuration, u int, cap int, counts []in
 		return 0 // keep the incumbent on ties and numerical noise
 	}
 	if cap > 0 && counts != nil {
-		for s, c := range conf.Assign[u] {
+		for s, c := range mine {
 			if c != Unassigned {
 				counts[c*k+s]--
 			}
@@ -190,7 +276,7 @@ func bestResponse(in *Instance, conf *Configuration, u int, cap int, counts []in
 			counts[c*k+s]++
 		}
 	}
-	copy(conf.Assign[u], assign)
+	copy(mine, assign)
 	return after - before
 }
 

@@ -54,17 +54,56 @@ func benchDynamicSession(tb testing.TB, n, m, k int) *DynamicSession {
 
 var benchValueSink float64
 
-// BenchmarkDynamicEvent measures per-event cost on the dynamic hot path:
-// apply one updatePreference event, then read the session value. The
-// incremental variant reads the maintained accumulator (what the serving
-// path does); the fullEvaluate variant recomputes the objective with a full
-// Evaluate rescan after every event (what the serving path did before the
-// accumulator existed). The gap between the two is the win the incremental
-// bookkeeping buys at each session size.
+// BenchmarkDynamicEvent measures per-event cost on the dynamic hot path.
+//
+//   - incremental and fullEvaluate apply one updatePreference event, then
+//     read the session value. incremental reads the maintained accumulator
+//     (what the serving path does); fullEvaluate recomputes the objective
+//     with a full Evaluate rescan after every event (what the serving path
+//     did before the accumulator existed).
+//   - join admits one user with 3 friends and ties in both directions. Each
+//     op grows the session, so it restarts from its n-user base every 256
+//     joins, outside the timer.
+//   - rebalance runs a 2-pass rebalance over every active user.
 func BenchmarkDynamicEvent(b *testing.B) {
 	const m, k = 50, 3
 	for _, n := range []int{1000, 10000} {
-		ds := benchDynamicSession(b, n, m, k)
+		base := benchDynamicSession(b, n, m, k)
+		b.Run(fmt.Sprintf("join/users=%d", n), func(b *testing.B) {
+			r := stats.NewRand(uint64(n) + 2)
+			ds := restartSession(b, base)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%256 == 0 {
+					b.StopTimer()
+					ds = restartSession(b, base)
+					b.StartTimer()
+				}
+				pref := make([]float64, m)
+				tie := make([]float64, m)
+				for c := range pref {
+					pref[c] = r.Float64()
+					tie[c] = 0.3 * r.Float64()
+				}
+				friends := FriendTies{}
+				for len(friends) < 3 {
+					friends[r.IntN(n)] = FriendTie{Out: tie, In: tie}
+				}
+				if _, err := ds.Join(pref, friends); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if n == 1000 {
+			b.Run(fmt.Sprintf("rebalance/users=%d", n), func(b *testing.B) {
+				ds := restartSession(b, base)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchValueSink = ds.Rebalance(2)
+				}
+			})
+		}
+		ds := base
 		r := stats.NewRand(uint64(n) + 1)
 		prefs := make([][]float64, 16)
 		for i := range prefs {
@@ -90,4 +129,15 @@ func BenchmarkDynamicEvent(b *testing.B) {
 			}
 		})
 	}
+}
+
+// restartSession returns a fresh session over a copy of base's instance and
+// configuration.
+func restartSession(tb testing.TB, base *DynamicSession) *DynamicSession {
+	tb.Helper()
+	ds, err := NewDynamicSession(base.Instance(), base.Config(), base.SizeCap())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
 }

@@ -3,16 +3,15 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
-
-	"github.com/svgic/svgic/internal/graph"
+	"slices"
 )
 
 // FriendTie carries the per-item social utilities between a joining user and
 // one standing friend: Out is τ(newcomer, friend, ·) — what the newcomer
 // gains from co-viewing with the friend — and In is τ(friend, newcomer, ·).
 // A nil slice means all-zero in that direction; a non-nil slice must have
-// exactly NumItems entries of finite, non-negative values.
+// exactly NumItems entries of valid utilities (finite, non-negative, at most
+// MaxUtility).
 type FriendTie struct {
 	Out []float64
 	In  []float64
@@ -42,9 +41,13 @@ type FriendTies map[int]FriendTie
 // occupancy counts are maintained the same way instead of being rebuilt per
 // event.
 //
+// Every event costs what it touches: a join appends the newcomer in place
+// and a best response walks one user's neighbourhood, so neither grows with
+// the session size.
+//
 // A DynamicSession is not safe for concurrent use; callers that serve one
 // session from many goroutines (internal/session's manager) serialize event
-// application themselves.
+// application themselves. Each session owns its assignment workspace.
 type DynamicSession struct {
 	in   *Instance
 	conf *Configuration
@@ -56,6 +59,8 @@ type DynamicSession struct {
 	counts []int   // incrementally maintained countsFor(); nil when cap == 0
 	dirty  []bool  // users whose neighbourhood changed since the last repair
 	comp   []int   // union-find parents over user rows (ghosts included)
+
+	work assignWork // best-response gains and MaxAssignment buffers
 }
 
 // NewDynamicSession starts a session from a solved configuration. Both the
@@ -107,7 +112,7 @@ func RestoreDynamicSession(in *Instance, conf *Configuration, cap int, activeIDs
 // instance and configuration as they stand: the value accumulator, the
 // occupancy counts, the component partition, and the dirty flags.
 func (ds *DynamicSession) resetIncremental(markDirty bool) {
-	ds.val = Evaluate(ds.in, ds.conf).Weighted()
+	ds.val = Evaluate(ds.Instance(), ds.conf).Weighted()
 	ds.counts = ds.countsFor()
 	n := ds.in.NumUsers()
 	ds.comp = make([]int, n)
@@ -144,8 +149,14 @@ func (ds *DynamicSession) union(a, b int) {
 	}
 }
 
-// Instance returns the session's current instance (live view, do not modify).
-func (ds *DynamicSession) Instance() *Instance { return ds.in }
+// Instance returns the session's current instance (live view, do not
+// modify). Join leaves the social pairs' numbering to this call
+// (graph.RenumberPairs), so a full Evaluate of the live view sums in the
+// order a rebuilt instance would and has the same bits.
+func (ds *DynamicSession) Instance() *Instance {
+	ds.in.G.RenumberPairs()
+	return ds.in
+}
 
 // Config returns the current configuration (live view, do not modify).
 func (ds *DynamicSession) Config() *Configuration { return ds.conf }
@@ -177,19 +188,18 @@ func (ds *DynamicSession) NumActive() int {
 }
 
 // validatePrefVector checks a caller-supplied utility vector at the event
-// trust boundary: exact length, finite, non-negative. Events reach sessions
-// from untrusted JSON via the serving path, so the checks mirror
-// Instance.Validate.
-func (ds *DynamicSession) validatePrefVector(what string, vec []float64) error {
+// trust boundary: exact length, and every entry a valid utility (finite,
+// non-negative, at most MaxUtility). Events reach sessions from untrusted
+// JSON via the serving path, so the checks mirror Instance.Validate. what
+// names the vector and is called only to build an error, so a valid vector
+// costs no formatting.
+func (ds *DynamicSession) validatePrefVector(vec []float64, what func() string) error {
 	if len(vec) != ds.in.NumItems {
-		return fmt.Errorf("core: %s has %d items, want %d", what, len(vec), ds.in.NumItems)
+		return fmt.Errorf("core: %s has %d items, want %d", what(), len(vec), ds.in.NumItems)
 	}
 	for c, x := range vec {
-		if !isFinite(x) {
-			return fmt.Errorf("core: %s[%d]=%v is not finite", what, c, x)
-		}
-		if x < 0 {
-			return fmt.Errorf("core: %s[%d]=%g is negative", what, c, x)
+		if err := checkUtility(x); err != nil {
+			return fmt.Errorf("core: %s[%d]=%v %w", what(), c, x, err)
 		}
 	}
 	return nil
@@ -199,8 +209,7 @@ func (ds *DynamicSession) validatePrefVector(what string, vec []float64) error {
 // friend ids must name ACTIVE users — a tie to a departed shopper would
 // re-add social utility on edges Leave just zeroed, and the ghost's frozen
 // assignment row would then earn phantom co-display value in Evaluate — and
-// tie vectors must be nil or exactly NumItems long (a short slice used to
-// panic mid-rebuild, after the new graph was already constructed).
+// tie vectors must be nil or exactly NumItems long.
 func (ds *DynamicSession) validateFriendTies(friends FriendTies) error {
 	n := ds.in.NumUsers()
 	for f, tie := range friends {
@@ -211,12 +220,12 @@ func (ds *DynamicSession) validateFriendTies(friends FriendTies) error {
 			return fmt.Errorf("core: friend %d is not active", f)
 		}
 		if tie.Out != nil {
-			if err := ds.validatePrefVector(fmt.Sprintf("τ out to friend %d", f), tie.Out); err != nil {
+			if err := ds.validatePrefVector(tie.Out, func() string { return fmt.Sprintf("τ out to friend %d", f) }); err != nil {
 				return err
 			}
 		}
 		if tie.In != nil {
-			if err := ds.validatePrefVector(fmt.Sprintf("τ in from friend %d", f), tie.In); err != nil {
+			if err := ds.validatePrefVector(tie.In, func() string { return fmt.Sprintf("τ in from friend %d", f) }); err != nil {
 				return err
 			}
 		}
@@ -249,7 +258,7 @@ func (ds *DynamicSession) contribution(u int) float64 {
 // respond takes user u's exact best response and folds its global objective
 // delta into the value accumulator (and, under a cap, the occupancy counts).
 func (ds *DynamicSession) respond(u int) float64 {
-	gain := bestResponse(ds.in, ds.conf, u, ds.cap, ds.counts)
+	gain := bestResponse(ds.in, ds.conf, u, ds.cap, ds.counts, &ds.work)
 	ds.val += gain
 	return gain
 }
@@ -257,66 +266,45 @@ func (ds *DynamicSession) respond(u int) float64 {
 // Join adds a user with the given preferences and friend ties and admits
 // them with an exact best response, returning the new user's id. All inputs
 // are validated (and copied) before any session state changes, so a failed
-// Join leaves the session exactly as it was. Friends are processed in sorted
-// id order so the rebuilt adjacency — and with it every downstream float
-// summation — is identical between a live session and a WAL replay of the
-// same events.
+// Join leaves the session exactly as it was. Under a size cap, Join fails
+// when no complete row for the newcomer fits within the cap.
+//
+// The newcomer is appended in place: their vertex, their mutual edges in
+// ascending friend order, their τ vectors, preference row and assignment
+// row. Nothing else is copied or rebuilt, so a join costs O(k·m) plus its
+// friends' degrees, whatever the session size. The grown graph has the
+// adjacency orders a rebuild of the whole instance would give it
+// (graph.AddVertex), so every float summation downstream keeps its bits
+// and a WAL replay of the same events reproduces the live session exactly.
 func (ds *DynamicSession) Join(pref []float64, friends FriendTies) (int, error) {
-	if err := ds.validatePrefVector("joining user's preferences", pref); err != nil {
+	if err := ds.validatePrefVector(pref, func() string { return "joining user's preferences" }); err != nil {
 		return 0, err
 	}
 	if err := ds.validateFriendTies(friends); err != nil {
+		return 0, err
+	}
+	fallback, err := ds.capRow()
+	if err != nil {
 		return 0, err
 	}
 	fids := make([]int, 0, len(friends))
 	for f := range friends {
 		fids = append(fids, f)
 	}
-	sort.Ints(fids)
-	old := ds.in
-	oldN := old.NumUsers()
-	g := graph.New(oldN + 1)
-	for u := 0; u < oldN; u++ {
-		for _, v := range old.G.Out(u) {
-			g.AddEdge(u, v)
-		}
-	}
-	nu := oldN
+	slices.Sort(fids)
+	nu := ds.in.appendUser(pref, fids)
 	for _, f := range fids {
-		g.AddMutualEdge(nu, f)
+		ds.in.setTauRow(nu, f, friends[f].Out)
+		ds.in.setTauRow(f, nu, friends[f].In)
 	}
-	in := NewInstance(g, old.NumItems, old.K, old.Lambda)
-	for u := 0; u < oldN; u++ {
-		copy(in.Pref[u], old.Pref[u])
-		for _, v := range old.G.Out(u) {
-			for c := 0; c < old.NumItems; c++ {
-				if t := old.Tau(u, v, c); t != 0 {
-					must(in.SetTau(u, v, c, t))
-				}
-			}
-		}
+	row := make([]int, ds.in.K)
+	for s := range row {
+		row[s] = Unassigned
 	}
-	copy(in.Pref[nu], pref)
-	for _, f := range fids {
-		tie := friends[f]
-		for c := 0; c < in.NumItems; c++ {
-			if tie.Out != nil && tie.Out[c] != 0 {
-				must(in.SetTau(nu, f, c, tie.Out[c]))
-			}
-			if tie.In != nil && tie.In[c] != 0 {
-				must(in.SetTau(f, nu, c, tie.In[c]))
-			}
-		}
-	}
-	conf := NewConfiguration(oldN+1, in.K)
-	for u := 0; u < oldN; u++ {
-		copy(conf.Assign[u], ds.conf.Assign[u])
-	}
-	ds.in = in
-	ds.conf = conf
+	ds.conf.Assign = append(ds.conf.Assign, row)
 	ds.active = append(ds.active, true)
-	// The rebuild leaves every standing row and utility untouched, so val
-	// carries over; only the component partition grows.
+	// Every standing row and utility is untouched, so val carries over; only
+	// the component partition grows.
 	ds.comp = append(ds.comp, nu)
 	ds.dirty = append(ds.dirty, true)
 	for _, f := range fids {
@@ -326,8 +314,7 @@ func (ds *DynamicSession) Join(pref []float64, friends FriendTies) (int, error) 
 	// Admit: fill the newcomer's slots greedily, then take the exact best
 	// response, then let the direct friends react once. The newcomer's filled
 	// row is their whole contribution — everyone else's row is unchanged.
-	aP, aS := in.PrefCoef(nil), in.PairCoef(nil)
-	completeGreedy(in, conf, aP, aS, ds.cap, ds.counts)
+	ds.fillRow(nu, fallback)
 	ds.val += ds.contribution(nu)
 	ds.respond(nu)
 	for _, f := range fids {
@@ -336,34 +323,111 @@ func (ds *DynamicSession) Join(pref []float64, friends FriendTies) (int, error) 
 	return nu, nil
 }
 
+// capRow checks, before a join changes anything, that a newcomer can get a
+// complete row within the size cap. When every slot has at least k items
+// below the cap, the slot-by-slot fill cannot dead-end, and it returns nil.
+// Otherwise it solves the assignment problem bestResponse solves, over the
+// occupancy counts with every free unit worth the same, and returns a
+// complete in-cap row, or an error when there is none.
+func (ds *DynamicSession) capRow() ([]int, error) {
+	if ds.cap <= 0 {
+		return nil, nil
+	}
+	k, m := ds.in.K, ds.in.NumItems
+	tight := false
+	for s := 0; s < k && !tight; s++ {
+		free := 0
+		for c := 0; c < m; c++ {
+			if ds.counts[c*k+s] < ds.cap {
+				free++
+			}
+		}
+		tight = free < k
+	}
+	if !tight {
+		return nil, nil
+	}
+	gain := ds.work.gains(k, m)
+	for s, row := range gain {
+		for c := range row {
+			row[c] = 0
+			if ds.counts[c*k+s] >= ds.cap {
+				row[c] = capBlocked
+			}
+		}
+	}
+	assign, _ := ds.work.solve(gain)
+	for s, c := range assign {
+		if gain[s][c] <= capBlocked/2 {
+			assign = nil
+			break
+		}
+	}
+	if assign == nil {
+		return nil, fmt.Errorf("core: no complete row fits the size cap %d for a joining user", ds.cap)
+	}
+	return slices.Clone(assign), nil
+}
+
+// fillRow fills the newcomer nu's empty row slot by slot with the feasible
+// item of the largest gain — (1−λ)·p(nu,c) plus λ·(τ(nu,f,c)+τ(f,nu,c)) for
+// every friend f showing c at that slot, ties to the smaller item — skipping
+// items the row already holds and units at the cap. Should a slot have no
+// feasible item left, nu takes fallback, capRow's complete in-cap row.
+func (ds *DynamicSession) fillRow(nu int, fallback []int) {
+	k := ds.in.K
+	gain := ds.work.gains(k, ds.in.NumItems)
+	fillGains(ds.in, ds.conf, nu, gain)
+	row := ds.conf.Assign[nu]
+	for s := range row {
+		best, bestGain := -1, -1.0
+		for c, g := range gain[s] {
+			if slices.Contains(row[:s], c) || (ds.cap > 0 && ds.counts[c*k+s] >= ds.cap) {
+				continue
+			}
+			if g > bestGain {
+				best, bestGain = c, g
+			}
+		}
+		if best < 0 {
+			// A dead end, possible only under a cap: earlier picks took the
+			// only items below it at slot s.
+			for s2, c := range row[:s] {
+				ds.counts[c*k+s2]--
+			}
+			copy(row, fallback)
+			for s2, c := range row {
+				ds.counts[c*k+s2]++
+			}
+			return
+		}
+		row[s] = best
+		if ds.counts != nil {
+			ds.counts[best*k+s]++
+		}
+	}
+}
+
 // Leave removes a user from the session: their row keeps its items (they are
 // gone from the store, so it no longer matters) but they stop contributing
 // utility, and their former friends rebalance with one best-response pass.
 // The frozen row stays in the occupancy counts — it still blocks capped
-// units, exactly as countsFor would rebuild it.
+// units, exactly as countsFor would rebuild it. The departed user's
+// preference row and the τ vectors on their edges are zeroed in place.
 func (ds *DynamicSession) Leave(u int) error {
 	if u < 0 || u >= len(ds.active) || !ds.active[u] {
 		return fmt.Errorf("core: user %d is not active", u)
 	}
 	ds.active[u] = false
-	friends := append([]int(nil), ds.in.G.Neighbors(u)...)
+	friends := ds.in.G.Neighbors(u)
 	// The departed user's entire share of the objective vanishes with their
 	// utilities; fold it out before zeroing them.
 	ds.val -= ds.contribution(u)
 	// Zero the departed user's utilities so evaluation and best responses
 	// ignore them.
-	for c := 0; c < ds.in.NumItems; c++ {
-		ds.in.Pref[u][c] = 0
-	}
+	clear(ds.in.Pref[u])
 	for _, v := range friends {
-		for c := 0; c < ds.in.NumItems; c++ {
-			if ds.in.G.HasEdge(u, v) {
-				must(ds.in.SetTau(u, v, c, 0))
-			}
-			if ds.in.G.HasEdge(v, u) {
-				must(ds.in.SetTau(v, u, c, 0))
-			}
-		}
+		ds.in.zeroTau(u, v)
 	}
 	ds.dirty[u] = true
 	for _, v := range friends {
@@ -384,7 +448,7 @@ func (ds *DynamicSession) UpdatePreference(u int, pref []float64) (float64, erro
 	if u < 0 || u >= len(ds.active) || !ds.active[u] {
 		return 0, fmt.Errorf("core: user %d is not active", u)
 	}
-	if err := ds.validatePrefVector(fmt.Sprintf("user %d's preferences", u), pref); err != nil {
+	if err := ds.validatePrefVector(pref, func() string { return fmt.Sprintf("user %d's preferences", u) }); err != nil {
 		return 0, err
 	}
 	// Only u's preference terms move; the social terms are untouched.
@@ -442,7 +506,7 @@ func (ds *DynamicSession) Adopt(conf *Configuration) error {
 		return fmt.Errorf("core: adopting configuration: %w", err)
 	}
 	ds.conf = conf.Clone()
-	ds.val = Evaluate(ds.in, ds.conf).Weighted()
+	ds.val = Evaluate(ds.Instance(), ds.conf).Weighted()
 	ds.counts = ds.countsFor()
 	for i := range ds.dirty {
 		ds.dirty[i] = true
@@ -465,7 +529,7 @@ func (ds *DynamicSession) Value() float64 {
 // layers seed the logged value instead of recomputing. The seed is sanity-
 // checked against a full Evaluate to catch corrupt or mismatched state.
 func (ds *DynamicSession) SeedValue(v float64) error {
-	full := Evaluate(ds.in, ds.conf).Weighted()
+	full := Evaluate(ds.Instance(), ds.conf).Weighted()
 	tol := 1e-6 * math.Max(1, math.Abs(full))
 	if !isFinite(v) || math.Abs(v-full) > tol {
 		return fmt.Errorf("core: seeded value %g disagrees with evaluated %g", v, full)
@@ -479,7 +543,7 @@ func (ds *DynamicSession) SeedValue(v float64) error {
 // — the checked fallback for callers that want to bound floating-point creep
 // on very long event streams.
 func (ds *DynamicSession) Resync() float64 {
-	full := Evaluate(ds.in, ds.conf).Weighted()
+	full := Evaluate(ds.Instance(), ds.conf).Weighted()
 	drift := math.Abs(ds.val - full)
 	ds.val = full
 	ds.counts = ds.countsFor()

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -66,9 +67,47 @@ func (in *Instance) Clone() *Instance {
 	return c
 }
 
-func (in *Instance) edgeKey(u, v int) int64 {
-	return int64(u)*int64(in.NumUsers()) + int64(v)
+// edgeKey packs the directed edge (u,v) into a τ map key. It does not depend
+// on the user count, so appending a user leaves every key valid. User ids
+// stay below 2^31, as graph vertex ids do.
+func edgeKey(u, v int) int64 { return int64(u)<<32 | int64(v) }
+
+// appendUser grows the instance by one user with a copy of pref, joined by
+// mutual edges to friends (distinct, ascending), and returns the new id.
+// Nothing already in the instance is copied or rebuilt.
+func (in *Instance) appendUser(pref []float64, friends []int) int {
+	nu := in.G.AddVertex(friends)
+	in.Pref = append(in.Pref, append(make([]float64, 0, in.NumItems), pref...))
+	return nu
 }
+
+// setTauRow sets τ(u,v,·) from vec on an edge that has no τ vector yet,
+// storing the nonzero entries only, as per-item SetTau calls skipping zeros
+// would. A nil or all-zero vec stores nothing.
+func (in *Instance) setTauRow(u, v int, vec []float64) {
+	var row []float64
+	for c, t := range vec {
+		if t == 0 {
+			continue
+		}
+		if row == nil {
+			row = make([]float64, in.NumItems)
+			in.tau[edgeKey(u, v)] = row
+		}
+		row[c] = t
+	}
+}
+
+// zeroTau zeroes τ(u,v,·) and τ(v,u,·) in place, for whichever of the two
+// vectors exist; it never creates one.
+func (in *Instance) zeroTau(u, v int) {
+	clear(in.tau[edgeKey(u, v)])
+	clear(in.tau[edgeKey(v, u)])
+}
+
+// tauRow returns τ(u,v,·), or nil when no utility was set on (u,v). The
+// slice must not be modified.
+func (in *Instance) tauRow(u, v int) []float64 { return in.tau[edgeKey(u, v)] }
 
 // SetPref sets the preference utility p(u,c).
 func (in *Instance) SetPref(u, c int, p float64) { in.Pref[u][c] = p }
@@ -79,7 +118,7 @@ func (in *Instance) SetTau(u, v, c int, t float64) error {
 	if !in.G.HasEdge(u, v) {
 		return fmt.Errorf("core: τ(%d,%d,·) set on a non-edge", u, v)
 	}
-	k := in.edgeKey(u, v)
+	k := edgeKey(u, v)
 	vec, ok := in.tau[k]
 	if !ok {
 		vec = make([]float64, in.NumItems)
@@ -92,7 +131,7 @@ func (in *Instance) SetTau(u, v, c int, t float64) error {
 // Tau returns the social utility τ(u,v,c); zero when the directed edge (u,v)
 // is absent or no utility was set.
 func (in *Instance) Tau(u, v, c int) float64 {
-	if vec, ok := in.tau[in.edgeKey(u, v)]; ok {
+	if vec, ok := in.tau[edgeKey(u, v)]; ok {
 		return vec[c]
 	}
 	return 0
@@ -105,7 +144,8 @@ func (in *Instance) PairSocial(u, v, c int) float64 {
 }
 
 // Validate checks structural sanity: k ≤ m (otherwise the no-duplication
-// constraint is unsatisfiable), λ in range, non-negative finite utilities.
+// constraint is unsatisfiable), λ in range, non-negative finite utilities no
+// larger than MaxUtility.
 //
 // Every numeric check rejects NaN and ±Inf explicitly: range comparisons are
 // false for NaN, so without the finiteness guards a NaN λ, preference or τ
@@ -130,24 +170,47 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("core: preference row %d has %d items, want %d", u, len(row), in.NumItems)
 		}
 		for c, p := range row {
-			if !isFinite(p) {
-				return fmt.Errorf("core: p(%d,%d)=%v is not finite", u, c, p)
-			}
-			if p < 0 {
-				return fmt.Errorf("core: p(%d,%d)=%g is negative", u, c, p)
+			if err := checkUtility(p); err != nil {
+				return fmt.Errorf("core: p(%d,%d)=%v %w", u, c, p, err)
 			}
 		}
 	}
 	for key, vec := range in.tau {
-		n := int64(in.NumUsers())
+		u, v := key>>32, key&(1<<32-1)
 		for c, t := range vec {
-			if !isFinite(t) {
-				return fmt.Errorf("core: τ(%d,%d,%d)=%v is not finite", key/n, key%n, c, t)
-			}
-			if t < 0 {
-				return fmt.Errorf("core: τ(%d,%d,%d)=%g is negative", key/n, key%n, c, t)
+			if err := checkUtility(t); err != nil {
+				return fmt.Errorf("core: τ(%d,%d,%d)=%v %w", u, v, c, t, err)
 			}
 		}
+	}
+	return nil
+}
+
+// MaxUtility bounds every preference and τ value an instance or a session
+// event may carry. Far above any real utility, it keeps every objective sum
+// and assignment cost finite: a user's best-response gain is at most
+// (1+2·deg)·MaxUtility, so no sum over any realistic session can reach
+// the float64 range.
+const MaxUtility = 1e150
+
+// errNotFinite, errNegative and errTooLarge are checkUtility's verdicts,
+// phrased to follow the offending value in an error message.
+var (
+	errNotFinite = errors.New("is not finite")
+	errNegative  = errors.New("is negative")
+	errTooLarge  = fmt.Errorf("exceeds the utility bound %g", float64(MaxUtility))
+)
+
+// checkUtility reports why x is not a valid preference or τ value: finite,
+// non-negative and at most MaxUtility.
+func checkUtility(x float64) error {
+	switch {
+	case !isFinite(x):
+		return errNotFinite
+	case x < 0:
+		return errNegative
+	case x > MaxUtility:
+		return errTooLarge
 	}
 	return nil
 }

@@ -7,16 +7,18 @@ package core
 // subgroup-change extension, packaged as a general post-optimizer: it never
 // decreases the objective and preserves validity and the SVGIC-ST size cap.
 //
-// It returns the total objective improvement.
+// It returns the total objective improvement. One assignment workspace
+// serves every best response of the run.
 func LocalSearch(in *Instance, conf *Configuration, maxPasses, cap int) float64 {
 	if maxPasses <= 0 {
 		maxPasses = 3
 	}
+	var w assignWork
 	var total float64
 	for pass := 0; pass < maxPasses; pass++ {
 		var improved float64
 		for u := 0; u < in.NumUsers(); u++ {
-			improved += BestResponse(in, conf, u, cap)
+			improved += bestResponse(in, conf, u, cap, nil, &w)
 		}
 		total += improved
 		if improved <= 1e-12 {

@@ -155,14 +155,17 @@ func ExtDynamic(cfg Config) ([]*Table, error) {
 		incTime = time.Since(start)
 		incVal := ds.Value()
 
-		// Full re-solve on the session's current instance for comparison.
+		// Full re-solve on the session's current instance for comparison. The
+		// clone numbers the social pairs as a rebuilt instance would, not in
+		// the join order a live session keeps.
+		snap := ds.Instance().Clone()
 		start = time.Now()
-		resConf, _, err := core.SolveAVGD(ds.Instance(), core.AVGDOptions{R: 1, LP: defaultLP()})
+		resConf, _, err := core.SolveAVGD(snap, core.AVGDOptions{R: 1, LP: defaultLP()})
 		resTime := time.Since(start)
 		if err != nil {
 			return nil, err
 		}
-		resVal := core.Evaluate(ds.Instance(), resConf).Weighted()
+		resVal := core.Evaluate(snap, resConf).Weighted()
 		ratio := 1.0
 		if resVal > 0 {
 			ratio = incVal / resVal

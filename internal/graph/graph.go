@@ -6,11 +6,12 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Graph is a simple directed graph over vertices 0..n-1 with no self loops
-// and no parallel edges. In SVGIC the vertices are shoppers and a directed
+// and no parallel edges. Vertex ids must stay below 2^31. In SVGIC the vertices are shoppers and a directed
 // edge (u,v) means u receives social utility from discussing items with v.
 //
 // Besides the directed view the graph maintains its "social pairs": the
@@ -26,6 +27,12 @@ type Graph struct {
 	pairIdx  map[int64]int // key(u,v) with u < v -> index into pairs
 	adjPairs [][]int       // per vertex: indices of incident pairs
 	und      [][]int       // per vertex: unordered-pair neighbours
+
+	// last is the vertex the latest AddVertex appended, still listed last
+	// by its friends; -1 when there is none. renumber is set while Pairs
+	// is not yet numbered as RenumberPairs would number it.
+	last     int
+	renumber bool
 }
 
 // New returns an empty directed graph with n vertices.
@@ -38,10 +45,13 @@ func New(n int) *Graph {
 		pairIdx:  make(map[int64]int),
 		adjPairs: make([][]int, n),
 		und:      make([][]int, n),
+		last:     -1,
 	}
 }
 
-func (g *Graph) key(u, v int) int64 { return int64(u)*int64(g.n) + int64(v) }
+// key packs the vertex pair (u,v) into one map key. It does not depend on
+// the vertex count, so AddVertex leaves every existing key valid.
+func key(u, v int) int64 { return int64(u)<<32 | int64(v) }
 
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return g.n }
@@ -58,7 +68,7 @@ func (g *Graph) AddEdge(u, v int) bool {
 	if u == v || u < 0 || v < 0 || u >= g.n || v >= g.n {
 		return false
 	}
-	k := g.key(u, v)
+	k := key(u, v)
 	if _, ok := g.edgeSet[k]; ok {
 		return false
 	}
@@ -69,7 +79,7 @@ func (g *Graph) AddEdge(u, v int) bool {
 	if a > b {
 		a, b = b, a
 	}
-	pk := g.key(a, b)
+	pk := key(a, b)
 	if _, ok := g.pairIdx[pk]; !ok {
 		idx := len(g.pairs)
 		g.pairIdx[pk] = idx
@@ -80,6 +90,113 @@ func (g *Graph) AddEdge(u, v int) bool {
 		g.und[b] = append(g.und[b], a)
 	}
 	return true
+}
+
+// AddVertex appends vertex n, joined by mutual edges to each of friends, and
+// returns its id. friends must be distinct existing vertices in ascending
+// order. It costs O(Σ deg(f)) over the friends of this vertex and of the
+// one the previous AddVertex appended: no other vertex, edge, key or pair
+// index moves.
+//
+// The result is the graph a rebuild would give: g.Clone() grown by one
+// vertex, then AddMutualEdge(n, f) for each friend in turn. That holds for
+// every order — Out, In, Neighbors, IncidentPairs as pairs, and Pairs
+// after RenumberPairs — whenever g is itself a Clone or such a rebuild. So
+// the new vertex is listed last among each friend's Neighbors, and its
+// pairs are numbered last; the previous appended vertex moves to the place
+// Clone gives it.
+func (g *Graph) AddVertex(friends []int) int {
+	nu := g.n
+	for i, f := range friends {
+		if f < 0 || f >= nu || (i > 0 && f <= friends[i-1]) {
+			panic(fmt.Sprintf("graph: AddVertex friends %v are not distinct ascending ids below %d", friends, nu))
+		}
+	}
+	g.settle()
+	g.n++
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
+	g.adjPairs = append(g.adjPairs, nil)
+	g.und = append(g.und, nil)
+	for _, f := range friends {
+		g.AddMutualEdge(nu, f)
+	}
+	if len(friends) > 0 {
+		g.last = nu
+		g.renumber = true
+	}
+	return nu
+}
+
+// settle moves g.last, the vertex the previous AddVertex appended, from the
+// end of each friend's Neighbors and IncidentPairs to where Clone lists it.
+// Clone creates the pair {f,last} at edge (f,last), f's latest out-edge:
+// after every pair it creates while visiting vertices up to f, before the
+// pairs of f's in-only neighbours w > f, which it creates while visiting w.
+func (g *Graph) settle() {
+	v := g.last
+	if v < 0 {
+		return
+	}
+	g.last = -1
+	g.renumber = true
+	for _, f := range g.und[v] {
+		und, adj := g.und[f], g.adjPairs[f]
+		i := len(und) - 1
+		for und[i] != v {
+			i--
+		}
+		e := adj[i]
+		und, adj = slices.Delete(und, i, i+1), slices.Delete(adj, i, i+1)
+		at := len(und)
+		for at > 0 {
+			if w := und[at-1]; w < f || g.HasEdge(f, w) {
+				break
+			}
+			at--
+		}
+		g.und[f], g.adjPairs[f] = slices.Insert(und, at, v), slices.Insert(adj, at, e)
+	}
+}
+
+// RenumberPairs numbers the social pairs as the rebuild AddVertex stands
+// for would: each at its first edge, visiting the vertices in ascending
+// order and each one's Out list in order, except that the pairs of the
+// vertex the latest AddVertex appended come last, in its Neighbors order.
+// A caller that sums floats over Pairs and must match that rebuild's bits
+// renumbers after AddVertex first. It costs O(V+E) after an AddVertex and
+// nothing otherwise.
+func (g *Graph) RenumberPairs() {
+	if !g.renumber {
+		return
+	}
+	g.renumber = false
+	remap := make([]int, len(g.pairs))
+	g.pairs = g.pairs[:0]
+	number := func(a, b int) {
+		k := key(a, b)
+		remap[g.pairIdx[k]] = len(g.pairs)
+		g.pairIdx[k] = len(g.pairs)
+		g.pairs = append(g.pairs, [2]int{a, b})
+	}
+	for u, out := range g.out {
+		for _, v := range out {
+			if u == g.last || v == g.last || (v < u && g.HasEdge(v, u)) {
+				continue // numbered last, or at edge (v,u)
+			}
+			number(min(u, v), max(u, v))
+		}
+	}
+	if g.last >= 0 {
+		for _, f := range g.und[g.last] {
+			number(f, g.last)
+		}
+	}
+	for _, ps := range g.adjPairs {
+		for i, e := range ps {
+			ps[i] = remap[e]
+		}
+	}
 }
 
 // AddMutualEdge inserts both (u,v) and (v,u).
@@ -93,7 +210,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n {
 		return false
 	}
-	_, ok := g.edgeSet[g.key(u, v)]
+	_, ok := g.edgeSet[key(u, v)]
 	return ok
 }
 
@@ -124,7 +241,7 @@ func (g *Graph) PairIndex(u, v int) (int, bool) {
 	if u > v {
 		u, v = v, u
 	}
-	idx, ok := g.pairIdx[g.key(u, v)]
+	idx, ok := g.pairIdx[key(u, v)]
 	return idx, ok
 }
 
@@ -176,7 +293,9 @@ func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int, error) {
 	return sub, orig, nil
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. It re-inserts the edges vertex by vertex
+// in Out order, so the copy's adjacency orders depend on the Out lists
+// alone.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
 	for u := 0; u < g.n; u++ {

@@ -374,3 +374,120 @@ func TestDegreeAssortativityDisassortativeStar(t *testing.T) {
 		t.Errorf("empty assortativity = %v", a)
 	}
 }
+
+// TestAddVertexMatchesRebuild grows a clone of a random directed graph —
+// one-way edges in both directions, inserted in random order — vertex by
+// vertex, and checks after each AddVertex that every order equals that of
+// the rebuild it stands for: the previous graph re-inserted edge by edge
+// into one more vertex, then the new vertex's mutual edges in friend order.
+func TestAddVertexMatchesRebuild(t *testing.T) {
+	r := stats.NewRand(7)
+	const n0 = 30
+	g0 := New(n0)
+	for i := 0; i < 4*n0; i++ {
+		u, v := r.IntN(n0), r.IntN(n0)
+		if r.Float64() < 0.5 {
+			g0.AddMutualEdge(u, v)
+		} else {
+			g0.AddEdge(u, v)
+		}
+	}
+	rebuild := func(h *Graph, friends []int) *Graph {
+		n := h.NumVertices()
+		c := New(n + 1)
+		for u := 0; u < n; u++ {
+			for _, v := range h.Out(u) {
+				c.AddEdge(u, v)
+			}
+		}
+		for _, f := range friends {
+			c.AddMutualEdge(n, f)
+		}
+		return c
+	}
+	same := func(a, b []int) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	pairsOf := func(h *Graph, idx []int) [][2]int {
+		out := make([][2]int, len(idx))
+		for i, e := range idx {
+			out[i] = h.Pairs()[e]
+		}
+		return out
+	}
+	g, want := g0.Clone(), g0.Clone()
+	for step := 0; step < 40; step++ {
+		n := g.NumVertices()
+		var friends []int
+		for f := 0; f < n; f++ {
+			if r.Float64() < 0.1 {
+				friends = append(friends, f)
+			}
+		}
+		if nu := g.AddVertex(friends); nu != n {
+			t.Fatalf("AddVertex returned %d, want %d", nu, n)
+		}
+		want = rebuild(want, friends)
+		if g.NumVertices() != want.NumVertices() || g.NumEdges() != want.NumEdges() || g.NumPairs() != want.NumPairs() {
+			t.Fatalf("step %d: %v, rebuild %v", step, g, want)
+		}
+		for u := 0; u <= n; u++ {
+			if !same(g.Out(u), want.Out(u)) || !same(g.In(u), want.In(u)) || !same(g.Neighbors(u), want.Neighbors(u)) {
+				t.Fatalf("step %d vertex %d: adjacency order differs from the rebuild's", step, u)
+			}
+			got, exp := pairsOf(g, g.IncidentPairs(u)), pairsOf(want, want.IncidentPairs(u))
+			for i := range exp {
+				if got[i] != exp[i] {
+					t.Fatalf("step %d vertex %d: incident pairs %v, rebuild %v", step, u, got, exp)
+				}
+			}
+		}
+		if step%3 == 0 {
+			g.RenumberPairs()
+			for i, p := range want.Pairs() {
+				if g.Pairs()[i] != p {
+					t.Fatalf("step %d: renumbered pair %d is %v, rebuild's %v", step, i, g.Pairs()[i], p)
+				}
+				if idx, ok := g.PairIndex(p[0], p[1]); !ok || idx != i {
+					t.Fatalf("step %d: PairIndex%v = %d,%v want %d", step, p, idx, ok, i)
+				}
+			}
+			for u := 0; u <= n; u++ {
+				if !same(g.IncidentPairs(u), want.IncidentPairs(u)) {
+					t.Fatalf("step %d vertex %d: renumbered incident pairs %v, rebuild %v", step, u, g.IncidentPairs(u), want.IncidentPairs(u))
+				}
+			}
+		}
+	}
+	c := g.Clone()
+	for u := 0; u < g.NumVertices(); u++ {
+		if !same(g.Out(u), c.Out(u)) {
+			t.Fatalf("vertex %d: clone out order differs", u)
+		}
+	}
+}
+
+// TestKeyIndependentOfSize: edge and pair lookups survive growth, since the
+// keys no longer encode the vertex count.
+func TestKeyIndependentOfSize(t *testing.T) {
+	g := New(2)
+	g.AddEdge(1, 0)
+	nu := g.AddVertex([]int{0, 1})
+	if !g.HasEdge(1, 0) || g.HasEdge(0, 1) || !g.HasEdge(nu, 1) || !g.HasEdge(0, nu) {
+		t.Fatal("edge lookup broken after AddVertex")
+	}
+	if idx, ok := g.PairIndex(0, 1); !ok || idx != 0 {
+		t.Fatalf("PairIndex(0,1) = %d,%v want 0,true", idx, ok)
+	}
+	if got := g.Neighbors(1); len(got) != 2 || got[0] != 0 || got[1] != nu {
+		t.Fatalf("Neighbors(1) = %v, want [0 %d]", got, nu)
+	}
+}

@@ -202,7 +202,7 @@ func (s *Session) snapshot(now time.Time, touch bool) (Snapshot, error) {
 		SizeCap:    s.sizeCap,
 		Version:    s.version,
 		Value:      s.value,
-		Users:      s.ds.Instance().NumUsers(),
+		Users:      conf.NumUsers(),
 		Active:     s.ds.ActiveUsers(),
 		Slots:      conf.K,
 		Assignment: conf.Clone().Assign,

@@ -14,6 +14,7 @@ import (
 	"github.com/svgic/svgic/internal/core"
 	"github.com/svgic/svgic/internal/datasets"
 	"github.com/svgic/svgic/internal/engine"
+	"github.com/svgic/svgic/internal/graph"
 	"github.com/svgic/svgic/internal/session"
 )
 
@@ -817,4 +818,70 @@ func TestTransientAppendFailureQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSession(t, before, after)
+}
+
+// TestCappedSessionAtCapacitySurvivesRestarts: a capped session filled until
+// a join finds no complete row within the cap refuses that join, and the
+// state it keeps restores through two restarts. The refused join used to be
+// admitted with an all-unassigned row, which recovery then rejected,
+// dropping the whole session.
+func TestCappedSessionAtCapacitySurvivesRestarts(t *testing.T) {
+	const cap = 1
+	g := graph.New(2)
+	g.AddMutualEdge(0, 1)
+	in := core.NewInstance(g, 4, 2, 0.5)
+	for c := 0; c < 4; c++ {
+		in.SetPref(0, c, 1/float64(1+c))
+		in.SetPref(1, c, 1/float64(4-c))
+	}
+	dir := t.TempDir()
+	s := openStack(t, dir, SyncAlways, 1000)
+	snap, _, err := s.mgr.CreateWith(context.Background(), in, session.CreateSpec{
+		Solver:  &core.AVGDSolver{Opts: core.AVGDOptions{SizeCap: cap}},
+		SizeCap: cap,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pref := []float64{0.4, 0.3, 0.2, 0.1}
+	joined := 0
+	for ; joined < 4; joined++ {
+		before, err := s.mgr.Snapshot(snap.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		join := session.Event{Type: session.EventJoin, Pref: pref, Friends: []session.TieJSON{{ID: 0, Out: pref, In: pref}}}
+		if _, err := s.mgr.Apply(snap.ID, []session.Event{join}); err != nil {
+			after, serr := s.mgr.Snapshot(snap.ID)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			if after.Version != before.Version || after.Value != before.Value {
+				t.Fatalf("refused join (%v) moved the session from v%d to v%d", err, before.Version, after.Version)
+			}
+			break
+		}
+	}
+	if joined == 0 || joined == 4 {
+		t.Fatalf("%d joins admitted, want the session to fill and then refuse one", joined)
+	}
+	want, err := s.mgr.Snapshot(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.close()
+	for restart := 1; restart <= 2; restart++ {
+		s2, recs := reopen(t, dir, SyncAlways, 1000)
+		if len(recs) != 1 {
+			s2.close()
+			t.Fatalf("restart %d recovered %d sessions, want 1", restart, len(recs))
+		}
+		got, err := s2.mgr.Snapshot(snap.ID)
+		if err != nil {
+			s2.close()
+			t.Fatal(err)
+		}
+		assertSameSession(t, want, got)
+		s2.close()
+	}
 }
