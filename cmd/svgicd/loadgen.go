@@ -132,6 +132,11 @@ func runLoadgen(cfg config) error {
 		shots = append(shots, <-results...)
 	}
 	wall := time.Since(start)
+	if cfg.assertSLODegrade {
+		if err := awaitDegrade(client, base, hotBy[0]); err != nil {
+			return err
+		}
+	}
 
 	// Single probes of the remaining surface: a batch with an internal
 	// duplicate, an evaluate round-trip, algorithm discovery, and liveness.
@@ -381,6 +386,59 @@ func printServerStats(client *http.Client, base string) (*server.StatsResponse, 
 		}
 	}
 	return &st, nil
+}
+
+// sloDegradeWait bounds how long -assert-slo-degrade keeps feeding the SLO
+// controller after the storm.
+const sloDegradeWait = 10 * time.Second
+
+// awaitDegrade runs after the storm under -assert-slo-degrade. The ladder
+// moves lazily, when a request arrives, so a storm can end right after the
+// burn becomes visible and before any request was degraded. It therefore
+// sends cache-defeating solves of hot (the storm's first algorithm), one at
+// a time, until /v1/stats counts a degraded request or sloDegradeWait runs
+// out; assertSLODegrade then judges the run on the same counters as ever.
+// A follow-up answered with anything but 200 or 429 fails the run.
+func awaitDegrade(client *http.Client, base string, hot []byte) error {
+	var sr server.SolveRequest
+	if err := json.Unmarshal(hot, &sr); err != nil {
+		return err
+	}
+	p0 := sr.Preferences[0][0]
+	start := time.Now()
+	sent := 0
+	for time.Since(start) < sloDegradeWait {
+		resp, err := client.Get(base + "/v1/stats")
+		if err != nil {
+			return fmt.Errorf("slo-wait: stats fetch: %w", err)
+		}
+		var st server.StatsResponse
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			return fmt.Errorf("slo-wait: stats decode: %w", err)
+		}
+		if st.SLO == nil || st.SLO.DegradedTotal > 0 {
+			break
+		}
+		// A distinct preference per request misses the result cache, so
+		// each one runs the solver the objective is watching.
+		sent++
+		sr.Preferences[0][0] = p0 + float64(sent)*1e-9
+		body, err := json.Marshal(sr)
+		if err != nil {
+			return err
+		}
+		sh := post(client, base+"/v1/solve", body)
+		if sh.err != nil {
+			return fmt.Errorf("slo-wait: solve: %w", sh.err)
+		}
+		if sh.status != http.StatusOK && sh.status != http.StatusTooManyRequests {
+			return fmt.Errorf("slo-wait: solve answered status %d", sh.status)
+		}
+	}
+	fmt.Printf("slo-wait: %d follow-up solves over %v\n", sent, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // maxSLOTransitions bounds the ladder movement -assert-slo-degrade
