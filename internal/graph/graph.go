@@ -11,8 +11,9 @@ import (
 )
 
 // Graph is a simple directed graph over vertices 0..n-1 with no self loops
-// and no parallel edges. Vertex ids must stay below 2^31. In SVGIC the vertices are shoppers and a directed
-// edge (u,v) means u receives social utility from discussing items with v.
+// and no parallel edges; n stays below 2^31. In SVGIC the vertices are
+// shoppers and a directed edge (u,v) means u receives social utility from
+// discussing items with v.
 //
 // Besides the directed view the graph maintains its "social pairs": the
 // unordered pairs {u,v} connected in at least one direction. Co-display is a
