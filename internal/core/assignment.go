@@ -26,24 +26,22 @@ func MaxAssignment(gain [][]float64) ([]int, float64) {
 // the result row — so a caller that solves many (a dynamic session, a
 // LocalSearch run) allocates them once. It is not safe for concurrent use.
 type assignWork struct {
-	gain     [][]float64
-	cost     []float64 // k×m, row-major
-	u, v     []float64 // row and column potentials, 1-based
-	minv     []float64
-	p, way   []int
-	used     []bool
-	row      []int
-	occ      []int     // capped occupancy scratch of bestResponse without counts
-	gainFlat []float64 // backing array of gain
+	gain   [][]float64
+	cost   []float64 // k×m, row-major
+	u, v   []float64 // row and column potentials, 1-based
+	minv   []float64
+	p, way []int
+	used   []bool
+	row    []int
+	occ    []int // capped occupancy scratch of bestResponse without counts
 }
 
 // gains returns the workspace's k×m gain matrix; its contents are stale.
 func (w *assignWork) gains(k, m int) [][]float64 {
 	if len(w.gain) != k || (k > 0 && len(w.gain[0]) != m) {
-		w.gainFlat = grow(w.gainFlat, k*m)
-		w.gain = w.gain[:0]
-		for s := 0; s < k; s++ {
-			w.gain = append(w.gain, w.gainFlat[s*m:(s+1)*m:(s+1)*m])
+		w.gain = make([][]float64, k)
+		for s := range w.gain {
+			w.gain[s] = make([]float64, m)
 		}
 	}
 	return w.gain
@@ -237,14 +235,7 @@ func bestResponse(in *Instance, conf *Configuration, u int, cap int, counts []in
 		if occ == nil {
 			occ = grow(w.occ, m*k)
 			w.occ = occ
-			clear(occ)
-			for _, row := range conf.Assign {
-				for s, c := range row {
-					if c != Unassigned {
-						occ[c*k+s]++
-					}
-				}
-			}
+			occupancy(occ, conf, k)
 		}
 		for s, row := range gain {
 			for c := range row {
@@ -278,6 +269,19 @@ func bestResponse(in *Instance, conf *Configuration, u int, cap int, counts []in
 	}
 	copy(mine, assign)
 	return after - before
+}
+
+// occupancy counts into dst, of length m·k, the rows showing each (item,
+// slot) unit at dst[c*k+s]: the layout of a capped session's counts.
+func occupancy(dst []int, conf *Configuration, k int) {
+	clear(dst)
+	for _, row := range conf.Assign {
+		for s, c := range row {
+			if c != Unassigned {
+				dst[c*k+s]++
+			}
+		}
+	}
 }
 
 // capBlocked is the sentinel gain of a display unit whose subgroup is full;

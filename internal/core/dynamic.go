@@ -271,8 +271,8 @@ func (ds *DynamicSession) respond(u int) float64 {
 //
 // The newcomer is appended in place: their vertex, their mutual edges in
 // ascending friend order, their τ vectors, preference row and assignment
-// row. Nothing else is copied or rebuilt, so a join costs O(k·m) plus its
-// friends' degrees, whatever the session size. The grown graph has the
+// row. Nothing else is copied or rebuilt, so a join's cost depends on k, m
+// and its friends' degrees, not on the session size. The grown graph has the
 // adjacency orders a rebuild of the whole instance would give it
 // (graph.AddVertex), so every float summation downstream keeps its bits
 // and a WAL replay of the same events reproduces the live session exactly.
@@ -324,29 +324,15 @@ func (ds *DynamicSession) Join(pref []float64, friends FriendTies) (int, error) 
 }
 
 // capRow checks, before a join changes anything, that a newcomer can get a
-// complete row within the size cap. When every slot has at least k items
-// below the cap, the slot-by-slot fill cannot dead-end, and it returns nil.
-// Otherwise it solves the assignment problem bestResponse solves, over the
-// occupancy counts with every free unit worth the same, and returns a
-// complete in-cap row, or an error when there is none.
+// complete row within the size cap: it solves the assignment problem
+// bestResponse solves, over the occupancy counts with every free unit worth
+// the same. It returns such a row for fillRow to fall back to, or an error
+// when there is none; nil, nil when the session has no cap.
 func (ds *DynamicSession) capRow() ([]int, error) {
 	if ds.cap <= 0 {
 		return nil, nil
 	}
 	k, m := ds.in.K, ds.in.NumItems
-	tight := false
-	for s := 0; s < k && !tight; s++ {
-		free := 0
-		for c := 0; c < m; c++ {
-			if ds.counts[c*k+s] < ds.cap {
-				free++
-			}
-		}
-		tight = free < k
-	}
-	if !tight {
-		return nil, nil
-	}
 	gain := ds.work.gains(k, m)
 	for s, row := range gain {
 		for c := range row {
@@ -601,14 +587,7 @@ func (ds *DynamicSession) countsFor() []int {
 	if ds.cap <= 0 {
 		return nil
 	}
-	k := ds.in.K
-	counts := make([]int, ds.in.NumItems*k)
-	for u := range ds.conf.Assign {
-		for s, it := range ds.conf.Assign[u] {
-			if it != Unassigned {
-				counts[it*k+s]++
-			}
-		}
-	}
+	counts := make([]int, ds.in.NumItems*ds.in.K)
+	occupancy(counts, ds.conf, ds.in.K)
 	return counts
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/svgic/svgic/internal/graph"
 	"github.com/svgic/svgic/internal/lp"
@@ -77,7 +78,7 @@ func edgeKey(u, v int) int64 { return int64(u)<<32 | int64(v) }
 // Nothing already in the instance is copied or rebuilt.
 func (in *Instance) appendUser(pref []float64, friends []int) int {
 	nu := in.G.AddVertex(friends)
-	in.Pref = append(in.Pref, append(make([]float64, 0, in.NumItems), pref...))
+	in.Pref = append(in.Pref, slices.Clone(pref))
 	return nu
 }
 
