@@ -33,7 +33,7 @@ type assignWork struct {
 	p, way []int
 	used   []bool
 	row    []int
-	occ    []int // capped occupancy scratch of bestResponse without counts
+	occ    []int // capped occupancy buffer of bestResponse without counts
 }
 
 // gains returns the workspace's k×m gain matrix; its contents are stale.
