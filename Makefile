@@ -22,11 +22,15 @@ test-short:
 # FuzzSessionApply decodes arbitrary bytes as a session events body and
 # applies them to a small session, uncapped and capped, checking after every
 # event that the value is finite and within 1e-9 of a full recompute and that
-# the configuration stays valid. A failing input is saved under the
-# package's testdata/fuzz/, where plain `go test` replays it.
+# the configuration stays valid. FuzzParseObjectives parses arbitrary -slo
+# text and checks that every accepted objective is evaluable (0 < q < 1,
+# positive threshold, window ≥ 12ms) and survives a String round trip. A
+# failing input is saved under the package's testdata/fuzz/, where plain
+# `go test` replays it.
 fuzz:
 	$(GO) test ./internal/lp -run='^$$' -fuzz='^FuzzProjectCappedSimplex$$' -fuzztime=10s
 	$(GO) test ./internal/session -run='^$$' -fuzz='^FuzzSessionApply$$' -fuzztime=10s
+	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzParseObjectives$$' -fuzztime=10s
 
 # Benchmark smoke: one iteration of every benchmark, no tests.
 bench:
@@ -113,29 +117,36 @@ lint-fixtures:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Serving smoke: build svgicd and fire a few hundred mixed-duplicate requests
-# at an in-process server. The loadgen exits non-zero on any response status
-# other than 200/429, and its stats line shows the cache + coalesce hit rates.
+# The smokes build both binaries: svgicload launches ./bin/svgicd as a child
+# with the flags after its path (plus -addr), drives it, and fails unless the
+# daemon drains and exits 0 on SIGTERM at the end.
+#
+# Serving smoke: fire a few hundred mixed-duplicate requests at a child
+# svgicd. svgicload exits non-zero on any response status other than
+# 200/429, and its stats line shows the cache + coalesce hit rates.
 serve-smoke:
 	$(GO) build -o bin/svgicd ./cmd/svgicd
-	./bin/svgicd -loadgen -requests 300 -dup-frac 0.5 -conc 8 -workers 2 -max-inflight 16
+	$(GO) build -o bin/svgicload ./cmd/svgicload
+	./bin/svgicload -requests 300 -dup-frac 0.5 -conc 8 ./bin/svgicd -workers 2 -max-inflight 16
 
-# Live-session smoke: datagen records a join/leave/update event trace, the
-# dynamic loadgen boots an in-process svgicd (drift repair on a hot 50ms
-# loop) and replays the trace into two sessions plus a generated-churn run.
-# The loadgen fails on any non-2xx/non-429 status or a non-monotone session
-# version. Both the trace (-seed/-event-seed) and the churn run (-seed) are
-# explicitly seeded, so two CI runs replay byte-identical workloads.
+# Live-session smoke: datagen records a join/leave/update event trace, and
+# svgicload -dynamic replays it into two sessions of a child svgicd (drift
+# repair on a hot 50ms loop), then runs generated churn. It fails on any
+# status other than the request's success status or 429, or a non-monotone
+# session version. Both the trace (-seed/-event-seed) and the churn run
+# (svgicload -seed, svgicd -seed for the solver) are explicitly seeded, so
+# two CI runs replay byte-identical workloads.
 session-smoke:
 	$(GO) build -o bin/svgicd ./cmd/svgicd
+	$(GO) build -o bin/svgicload ./cmd/svgicload
 	$(GO) build -o bin/datagen ./cmd/datagen
 	./bin/datagen -dataset timik -n 12 -m 30 -k 3 -seed 5 -event-seed 6 -events 40 -o bin/session-trace.json
-	./bin/svgicd -loadgen -dynamic -trace bin/session-trace.json -sessions 2 -workers 2 -repair-interval 50ms
-	./bin/svgicd -loadgen -dynamic -sessions 4 -requests 200 -workers 2 -repair-interval 50ms -seed 9
+	./bin/svgicload -dynamic -trace bin/session-trace.json -sessions 2 ./bin/svgicd -workers 2 -repair-interval 50ms
+	./bin/svgicload -dynamic -sessions 4 -requests 200 -seed 9 ./bin/svgicd -workers 2 -repair-interval 50ms -seed 9
 
-# SLO smoke: the adaptive-admission acceptance test against real load. An
-# in-process svgicd serves an unattainable objective (p99 solve < 1ms) while
-# the loadgen storms it with the expensive exact solver; the SLO controller
+# SLO smoke: the adaptive-admission acceptance test against real load. A
+# child svgicd serves an unattainable objective (p99 solve < 1ms) while
+# svgicload storms it with the expensive exact solver; the SLO controller
 # must observe the burn and reroute ip requests to avgd ("degraded":true),
 # and -assert-slo-degrade fails the run unless /v1/stats shows degraded
 # requests AND a bounded number of ladder transitions (degrading without
@@ -143,11 +154,12 @@ session-smoke:
 # slow CI runners.
 slo-smoke:
 	$(GO) build -o bin/svgicd ./cmd/svgicd
-	./bin/svgicd -loadgen -algo ip -requests 400 -conc 16 -dup-frac 0.2 -workers 2 \
-		-slo "p99 solve < 1ms over 2s" -assert-slo-degrade
+	$(GO) build -o bin/svgicload ./cmd/svgicload
+	./bin/svgicload -algo ip -requests 400 -conc 16 -dup-frac 0.2 -assert-slo-degrade \
+		./bin/svgicd -algo ip -workers 2 -slo "p99 solve < 1ms over 2s"
 
-# Crash smoke: the durability acceptance test against a REAL process. The
-# loadgen spawns a child svgicd serving on a data directory, streams
+# Crash smoke: the durability acceptance test against a REAL process.
+# svgicload starts a child svgicd serving on a data directory, streams
 # live-session churn, SIGKILLs the child mid-stream, restarts it on the same
 # directory and asserts every recovered session serves exactly what an
 # offline replay of its acknowledged event prefix produces — once under
@@ -158,8 +170,11 @@ slo-smoke:
 # end under both fsync policies.
 crash-smoke:
 	$(GO) build -o bin/svgicd ./cmd/svgicd
+	$(GO) build -o bin/svgicload ./cmd/svgicload
 	rm -rf bin/crash-data-always bin/crash-data-off
-	./bin/svgicd -loadgen -dynamic -crash -data-dir bin/crash-data-always -fsync always -snapshot-every 16 -sessions 4 -session-shards 4 -requests 240 -workers 2 -seed 11
-	./bin/svgicd -loadgen -dynamic -crash -data-dir bin/crash-data-off -fsync off -snapshot-every 16 -sessions 4 -session-shards 4 -requests 240 -workers 2 -seed 12
+	./bin/svgicload -dynamic -crash -sessions 4 -requests 240 -seed 11 \
+		./bin/svgicd -data-dir bin/crash-data-always -fsync always -snapshot-every 16 -session-shards 4 -workers 2 -seed 11
+	./bin/svgicload -dynamic -crash -sessions 4 -requests 240 -seed 12 \
+		./bin/svgicd -data-dir bin/crash-data-off -fsync off -snapshot-every 16 -session-shards 4 -workers 2 -seed 12
 
 check: fmt-check vet lint build test-short fuzz perfbench-check

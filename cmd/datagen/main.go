@@ -10,7 +10,7 @@
 // With -events N it instead emits a replayable live-session trace: the
 // instance plus N join/leave/updatePreference/rebalance events valid against
 // it, in the schema of svgicd's /v1/sessions/{id}/events endpoint. Replay
-// with `svgicd -loadgen -dynamic -trace trace.json` (what `make
+// with `svgicload -dynamic -trace trace.json path/to/svgicd` (what `make
 // session-smoke` does) or offline via the session package.
 //
 // Generation is fully seeded: -seed drives the instance and, unless

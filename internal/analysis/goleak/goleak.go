@@ -1,6 +1,6 @@
 // Package goleak enforces the goroutine-ownership policy in the serving
-// packages (engine, session, server, store, and the svgicd binary): every
-// `go` statement must be lifecycle-bound. A spawned goroutine is acceptable
+// packages (engine, session, server, store, telemetry, and the svgicd and
+// svgicload binaries): every `go` statement must be lifecycle-bound. A spawned goroutine is acceptable
 // when it is
 //
 //   - WaitGroup-tracked: a sync.WaitGroup is Add'ed on the owner's path
@@ -44,7 +44,7 @@ const advice = "track it with an owner-waited WaitGroup (Add before the spawn, D
 	"or terminate it with a lifecycle done channel or context"
 
 func run(pass *analysis.Pass) error {
-	if !analysis.PkgPathHasSuffix(pass.Pkg.Path(), "engine", "session", "server", "store", "telemetry", "svgicd") {
+	if !analysis.PkgPathHasSuffix(pass.Pkg.Path(), "engine", "session", "server", "store", "telemetry", "svgicd", "svgicload") {
 		return nil
 	}
 	var prod []*ast.File

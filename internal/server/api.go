@@ -12,7 +12,7 @@ import (
 
 // Wire types of the svgicd JSON API. Instances travel as core.InstanceJSON
 // (the interchange schema shared with the CLI and datagen); everything here
-// is the server's side of the conversation. The loadgen and the e2e tests
+// is the server's side of the conversation. cmd/svgicload and the e2e tests
 // decode into these same types, so schema drift breaks the build, not the
 // wire.
 

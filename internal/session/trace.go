@@ -10,7 +10,7 @@ import (
 // TraceJSON is a replayable live-session workload: the starting instance
 // plus an event stream valid against it (every leave/update names a user
 // active at its point in the stream; joined users get the ids the session
-// will assign). cmd/datagen emits traces, the loadgen's -dynamic mode and
+// will assign). cmd/datagen emits traces, svgicload -dynamic and
 // `make session-smoke` replay them, and the server e2e tests replay the same
 // trace offline to assert bit-for-bit equivalence.
 type TraceJSON struct {

@@ -59,7 +59,7 @@ func (o Objective) Validate() error {
 	if o.Series == "" {
 		return fmt.Errorf("slo: empty series")
 	}
-	if o.Quantile <= 0 || o.Quantile >= 1 {
+	if !(o.Quantile > 0 && o.Quantile < 1) { // also false for NaN
 		return fmt.Errorf("slo %q: quantile %g outside (0,1)", o.String(), o.Quantile)
 	}
 	if o.Threshold <= 0 {

@@ -45,6 +45,7 @@ func TestParseObjectiveRejects(t *testing.T) {
 		"pXX solve < 250ms over 5m",      // unparseable percentile
 		"p0 solve < 250ms over 5m",       // quantile at 0
 		"p100 solve < 250ms over 5m",     // quantile at 1
+		"pNaN solve < 1ms over 1s",       // NaN quantile: never burns, /v1/stats cannot encode it
 		"p99 solve < banana over 5m",     // unparseable threshold
 		"p99 solve < -250ms over 5m",     // negative threshold
 		"p99 solve < 250ms over -5m",     // negative window
@@ -116,4 +117,43 @@ func TestTrackerEnsureWidens(t *testing.T) {
 	if w := tr.Window("batch"); w.Width() != 12*time.Second {
 		t.Fatalf("Ensure below the default must use the default, got %v", w.Width())
 	}
+}
+
+// FuzzParseObjectives feeds arbitrary text through the -slo trust boundary.
+// Every objective of an accepted list must be one the controller can
+// evaluate (0 < q < 1, a positive threshold, a window of at least 12ms so
+// the fast window is 1ms or more), and its String form must parse back to
+// the same series, threshold and window, with the quantile within 1e-12.
+func FuzzParseObjectives(f *testing.F) {
+	for _, seed := range []string{
+		"p99 solve < 250ms over 5m",
+		"p99.9 algo:IP < 1s over 10m",
+		"p99 solve < 250ms over 5m, p50 repair < 50ms over 1m, p95 algo:IP < 1s over 5m",
+		"p99 solve < 250ms over 5m, p50 session_create < 100ms over 1m,",
+		"p99 solve < 1ms over 2s",
+		"pNaN solve < 1ms over 1s",
+		"",
+		",",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		objs, err := ParseObjectives(s)
+		if err != nil {
+			return
+		}
+		for _, o := range objs {
+			if !(o.Quantile > 0 && o.Quantile < 1) || o.Threshold <= 0 || o.Window < FastWindowDivisor*time.Millisecond {
+				t.Fatalf("ParseObjectives(%q) accepted %+v", s, o)
+			}
+			back, err := ParseObjective(o.String())
+			if err != nil {
+				t.Fatalf("%q: String %q does not parse back: %v", s, o.String(), err)
+			}
+			if back.Series != o.Series || back.Threshold != o.Threshold || back.Window != o.Window ||
+				!(math.Abs(back.Quantile-o.Quantile) <= 1e-12) {
+				t.Fatalf("%q: %+v round-trips through %q to %+v", s, o, o.String(), back)
+			}
+		}
+	})
 }

@@ -69,8 +69,9 @@
 // request coalescing keyed on (instance fingerprint, solver identity) for
 // flash crowds, and graceful drain on shutdown. GET /healthz and /v1/stats
 // expose liveness and the engine/admission/coalescing counters, split per
-// algorithm. The same binary is its own load generator (svgicd -loadgen,
-// optionally mixing algorithms with -algo avgd,per,avg).
+// algorithm. Command svgicload is its load generator: it launches svgicd as
+// a child and drives it (optionally mixing algorithms with -algo
+// avgd,per,avg).
 //
 // # Live sessions
 //
@@ -82,7 +83,7 @@
 // re-solves through the Engine, atomically swapped in when they beat the
 // incrementally maintained configuration. svgicd serves the same manager
 // under /v1/sessions; cmd/datagen -events emits replayable traces and
-// `svgicd -loadgen -dynamic` drives churn against the endpoints. See
+// `svgicload -dynamic` drives churn against the endpoints. See
 // NewSessionManager.
 //
 // See examples/ for complete programs and EXPERIMENTS.md for the
