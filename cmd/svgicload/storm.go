@@ -23,12 +23,11 @@ const poolSize = 16
 // storm drives /v1/solve with the hot/pool mix, then probes the rest of
 // the surface once and reports.
 func storm(c *child, o *options) error {
-	// One hot instance plus a pool of distinct ones, one request per
-	// algorithm in the mix for the hot instance (each request names its
-	// algorithm explicitly, so the daemon's cache and coalescing keys are
-	// exercised per algorithm). The canonical multi-component serving
-	// workload: disjoint social rings with synthetic utilities (see
-	// internal/datasets.MultiGroup).
+	// The hot instance as one request per algorithm in the mix, then a pool
+	// of distinct instances cycling the mix. Every request names its
+	// algorithm, so the daemon's cache and coalescing keys are exercised per
+	// algorithm. The canonical multi-component serving workload: disjoint
+	// social rings with synthetic utilities (see internal/datasets.MultiGroup).
 	hotIn := datasets.MultiGroup(42, 3, 4, 12, 2, 0.5)
 	reqs := make([]server.SolveRequest, len(o.algos)+poolSize)
 	for a, algo := range o.algos {
