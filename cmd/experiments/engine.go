@@ -68,7 +68,7 @@ func engineDemo(workers int, quick bool, seed uint64) error {
 		tab.Addf(fmt.Sprintf("%d", w), wall.Milliseconds(),
 			fmt.Sprintf("%.1f", float64(batchSize)/wall.Seconds()),
 			int(st.ComponentsSolved),
-			fmt.Sprintf("%.2f", float64(st.AvgLatency().Microseconds())/1000),
+			fmt.Sprintf("%.2f", st.AvgLatencyMS),
 			int(st.CacheHits))
 	}
 

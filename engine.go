@@ -33,8 +33,8 @@ type Engine = engine.Engine
 // factory, result-cache size and the decomposition switch.
 type EngineOptions = engine.Options
 
-// EngineStats is a snapshot of an Engine's throughput, latency and cache
-// counters.
+// EngineStats is a snapshot of an Engine's latency, cache and
+// per-algorithm counters.
 type EngineStats = engine.Stats
 
 // ErrEngineClosed is returned by Engine calls after Close.

@@ -47,10 +47,12 @@ type call struct {
 	err     error
 }
 
-// CoalesceStats is a snapshot of a Coalescer's counters.
+// CoalesceStats is a snapshot of a Coalescer's counters: Leads counts calls
+// that ran the engine (the first arrival for their key), Joins counts calls
+// answered by parking on another call's in-flight solve.
 type CoalesceStats struct {
-	Leads uint64 // calls that ran the engine (first arrival for their key)
-	Joins uint64 // calls answered by parking on another call's in-flight solve
+	Leads uint64 `json:"leads" metric:"svgicd_coalesce_leads_total" help:"Coalesced flights that ran the engine."`
+	Joins uint64 `json:"joins" metric:"svgicd_coalesce_joins_total" help:"Requests answered by joining an in-flight solve."`
 }
 
 // NewCoalescer wraps an engine with request coalescing. The engine may be

@@ -9,7 +9,7 @@
 // The engine is the serving-path counterpart of a bare core.Solver: where
 // Solver.Solve answers one group on the caller's goroutine, an Engine
 // answers many groups at once on a bounded number of goroutines, under
-// context cancellation and deadlines, with throughput, latency and
+// context cancellation and deadlines, with latency, cache and
 // per-algorithm counters. Every registered solver can be used per request
 // via SolveWith; the cache and the Coalescer incorporate the solver's cache
 // key, so AVG and AVG-D results (or one algorithm under two
@@ -58,14 +58,17 @@ type Options struct {
 }
 
 // AlgoStats is the per-algorithm slice of Stats: every terminated Solve call
-// lands in its solver's bucket alongside the global counters.
+// lands in its solver's bucket, and the global buckets are their sums.
 type AlgoStats struct {
-	Solves       uint64        // terminated Solve calls routed to this algorithm
-	CacheHits    uint64        // answered from the result cache
-	Solved       uint64        // ran the solver to completion
-	Canceled     uint64        // aborted by their context
-	Errors       uint64        // failed by a component solver or mid-flight Close
-	TotalLatency time.Duration // summed wall time of the Solved bucket
+	Solves    uint64 `json:"solves" metric:"svgicd_engine_algo_solves_total" help:"Solve requests per algorithm."`
+	CacheHits uint64 `json:"cacheHits" metric:"svgicd_engine_algo_cache_hits_total" help:"Cache hits per algorithm."`
+	Solved    uint64 `json:"solved"`
+	Canceled  uint64 `json:"canceled"`
+	Errors    uint64 `json:"errors" metric:"svgicd_engine_algo_errors_total" help:"Failed solves per algorithm."`
+	// TotalLatency sums the wall time of the Solved bucket; AvgLatencyMS is
+	// its mean, as in Stats.
+	TotalLatency time.Duration `json:"-"`
+	AvgLatencyMS float64       `json:"avgLatencyMs"`
 }
 
 // Stats is a snapshot of an Engine's counters.
@@ -75,46 +78,40 @@ type AlgoStats struct {
 //
 //	Solves == CacheHits + Solved + Canceled + Errors
 //
-// holds at any quiescent point (asserted under -race by the engine stress
-// test), globally and per algorithm. Calls rejected before admission —
-// validation failures and calls on an already-closed engine — touch no
-// counters at all.
+// holds globally and per algorithm (asserted under -race by the engine
+// stress test). Calls rejected before admission — validation failures and
+// calls on an already-closed engine — touch no counters at all. Errors
+// counts solves failed by a component solver or by a mid-flight Close;
+// retries of errored solves miss the cache again. The metric tags name the
+// svgicd /metrics family of each exported counter (see server/metrics.go).
 type Stats struct {
-	Solves           uint64        // terminated Solve calls (sum of the four buckets below)
-	Batches          uint64        // completed SolveBatch calls
-	ComponentsSolved uint64        // component subproblems run through the pool
-	CacheHits        uint64        // Solve calls answered from the cache
-	CacheMisses      uint64        // Solve calls that missed the cache (retries of errored solves miss again)
-	Solved           uint64        // Solve calls that ran the solver to completion
-	Canceled         uint64        // Solve calls aborted by their context
-	Errors           uint64        // Solve calls failed by a component solver or mid-flight Close
-	TotalLatency     time.Duration // summed wall time of the Solved bucket (cache hits excluded)
-	Workers          int
+	Solves           uint64 `json:"solves" metric:"svgicd_engine_solves_total" help:"Solve requests reaching the engine."`
+	Batches          uint64 `json:"batches" metric:"svgicd_engine_batches_total" help:"Batch solve calls."`
+	ComponentsSolved uint64 `json:"componentsSolved" metric:"svgicd_engine_components_solved_total" help:"Independently solved social-network components."`
+	CacheHits        uint64 `json:"cacheHits" metric:"svgicd_engine_cache_hits_total" help:"Solves answered from the result cache."`
+	CacheMisses      uint64 `json:"cacheMisses" metric:"svgicd_engine_cache_misses_total" help:"Result-cache misses."`
+	Solved           uint64 `json:"solved" metric:"svgicd_engine_solved_total" help:"Solves completed by running a solver."`
+	Canceled         uint64 `json:"canceled" metric:"svgicd_engine_canceled_total" help:"Solves canceled by context."`
+	Errors           uint64 `json:"errors" metric:"svgicd_engine_errors_total" help:"Solves that failed."`
+	// TotalLatency sums the wall time of the Solved bucket; AvgLatencyMS is
+	// its mean in milliseconds, truncated to the microsecond. Cache hits are
+	// excluded, so a warm cache does not flatter the solver.
+	TotalLatency time.Duration `json:"-"`
+	AvgLatencyMS float64       `json:"avgLatencyMs"`
+	Workers      int           `json:"workers" metric:"svgicd_engine_workers" help:"Solver worker pool size."`
 	// PerAlgorithm splits the terminal buckets by solver display name
 	// (e.g. "AVG-D"), so a mixed-algorithm serving workload is observable
 	// per algorithm.
-	PerAlgorithm map[string]AlgoStats
+	PerAlgorithm map[string]AlgoStats `json:"perAlgorithm,omitempty" metric:",algo"`
 }
 
-// AvgLatency returns the mean wall time of a Solve that actually solved;
-// cache hits are excluded so a warm cache does not flatter the solver. Zero
-// when nothing solved yet.
-func (s Stats) AvgLatency() time.Duration {
-	if s.Solved == 0 {
+// avgMS is the mean of total over n in milliseconds, truncated to the
+// microsecond; zero when n is zero.
+func avgMS(total time.Duration, n uint64) float64 {
+	if n == 0 {
 		return 0
 	}
-	return s.TotalLatency / time.Duration(s.Solved)
-}
-
-// Throughput returns solver-executed Solve calls per second of summed solve
-// latency — the per-worker service rate of the uncached path; multiply by
-// Workers for the pool ceiling. Cache hits are excluded (they are ~free and
-// would inflate the rate arbitrarily).
-func (s Stats) Throughput() float64 {
-	if s.TotalLatency <= 0 {
-		return 0
-	}
-	return float64(s.Solved) / s.TotalLatency.Seconds()
+	return float64((total / time.Duration(n)).Microseconds()) / 1000
 }
 
 // task is one component subproblem handed to the pool. A nil solver means
@@ -203,16 +200,12 @@ type Engine struct {
 	closeOnce     sync.Once
 	closed        atomic.Bool
 
-	solves      atomic.Uint64
 	batches     atomic.Uint64
 	components  atomic.Uint64
-	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
-	solved      atomic.Uint64
-	canceled    atomic.Uint64
-	errored     atomic.Uint64
-	latencyNS   atomic.Int64
 
+	// algoMu guards the per-algorithm buckets, the only record of each
+	// solve's outcome; Stats sums them into the global counters.
 	algoMu sync.Mutex
 	algos  map[string]*AlgoStats
 
@@ -294,25 +287,28 @@ func (e *Engine) Close() {
 // Stats returns a point-in-time snapshot of the counters.
 func (e *Engine) Stats() Stats {
 	st := Stats{
-		Solves:           e.solves.Load(),
 		Batches:          e.batches.Load(),
 		ComponentsSolved: e.components.Load(),
-		CacheHits:        e.cacheHits.Load(),
 		CacheMisses:      e.cacheMisses.Load(),
-		Solved:           e.solved.Load(),
-		Canceled:         e.canceled.Load(),
-		Errors:           e.errored.Load(),
-		TotalLatency:     time.Duration(e.latencyNS.Load()),
 		Workers:          e.workers,
 	}
 	e.algoMu.Lock()
 	if len(e.algos) > 0 {
 		st.PerAlgorithm = make(map[string]AlgoStats, len(e.algos))
 		for name, a := range e.algos {
-			st.PerAlgorithm[name] = *a
+			st.Solves += a.Solves
+			st.CacheHits += a.CacheHits
+			st.Solved += a.Solved
+			st.Canceled += a.Canceled
+			st.Errors += a.Errors
+			st.TotalLatency += a.TotalLatency
+			a := *a
+			a.AvgLatencyMS = avgMS(a.TotalLatency, a.Solved)
+			st.PerAlgorithm[name] = a
 		}
 	}
 	e.algoMu.Unlock()
+	st.AvgLatencyMS = avgMS(st.TotalLatency, st.Solved)
 	return st
 }
 
@@ -326,21 +322,9 @@ const (
 	outcomeErrored
 )
 
-// record lands one terminated Solve call in exactly one global bucket and
-// the matching per-algorithm bucket, keeping the counter identity intact.
+// record lands one terminated Solve call in exactly one bucket of its
+// algorithm, keeping the counter identity intact.
 func (e *Engine) record(algo string, o outcome, latency time.Duration) {
-	e.solves.Add(1)
-	switch o {
-	case outcomeCacheHit:
-		e.cacheHits.Add(1)
-	case outcomeSolved:
-		e.solved.Add(1)
-		e.latencyNS.Add(int64(latency))
-	case outcomeCanceled:
-		e.canceled.Add(1)
-	case outcomeErrored:
-		e.errored.Add(1)
-	}
 	e.algoMu.Lock()
 	a := e.algos[algo]
 	if a == nil {

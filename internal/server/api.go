@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"github.com/svgic/svgic/internal/core"
+	"github.com/svgic/svgic/internal/engine"
 	"github.com/svgic/svgic/internal/registry"
 	"github.com/svgic/svgic/internal/session"
 	"github.com/svgic/svgic/internal/store"
@@ -178,10 +179,10 @@ type SessionResponse struct {
 // hot-shard monitoring).
 type SessionsStats struct {
 	Enabled     bool `json:"enabled"`
-	MaxSessions int  `json:"maxSessions"`
-	Shards      int  `json:"shards"`
+	MaxSessions int  `json:"maxSessions" metric:"svgicd_sessions_max" help:"Session admission bound."`
+	Shards      int  `json:"shards" metric:"svgicd_sessions_shards" help:"Hash-partitioned session shard count."`
 	session.Stats
-	PerShard []session.ShardStats `json:"perShard,omitempty"`
+	PerShard []session.ShardStats `json:"perShard,omitempty" metric:",shard"`
 }
 
 // StoreStats is the durable-session-store slice of GET /v1/stats: WAL
@@ -201,51 +202,22 @@ type HealthResponse struct {
 
 // ServerStats is the admission-control slice of GET /v1/stats.
 type ServerStats struct {
-	Admitted     uint64 `json:"admitted"`
-	Shed         uint64 `json:"shed"`
-	BadRequests  uint64 `json:"badRequests"`
-	Timeouts     uint64 `json:"timeouts"`
-	ClientClosed uint64 `json:"clientClosed"`
-	InFlight     int    `json:"inFlight"`
-	MaxInFlight  int    `json:"maxInFlight"`
-	Draining     bool   `json:"draining"`
+	Admitted     uint64 `json:"admitted" metric:"svgicd_requests_admitted_total" help:"Requests admitted past the in-flight bound."`
+	Shed         uint64 `json:"shed" metric:"svgicd_requests_shed_total" help:"Requests shed with 429 (admission or session limit)."`
+	BadRequests  uint64 `json:"badRequests" metric:"svgicd_bad_requests_total" help:"Requests rejected as malformed (4xx)."`
+	Timeouts     uint64 `json:"timeouts" metric:"svgicd_timeouts_total" help:"Solves that exceeded their deadline (504)."`
+	ClientClosed uint64 `json:"clientClosed" metric:"svgicd_client_closed_total" help:"Requests abandoned by the client mid-solve (499)."`
+	InFlight     int    `json:"inFlight" metric:"svgicd_in_flight_requests" help:"Requests currently holding an admission token."`
+	MaxInFlight  int    `json:"maxInFlight" metric:"svgicd_max_in_flight_requests" help:"Admission bound."`
+	Draining     bool   `json:"draining" metric:"svgicd_draining" help:"1 while the server is draining for shutdown."`
 }
 
-// AlgoStats is the per-algorithm slice of EngineStats; the counter identity
-// Solves == CacheHits + Solved + Canceled + Errors holds per algorithm.
-type AlgoStats struct {
-	Solves       uint64  `json:"solves"`
-	CacheHits    uint64  `json:"cacheHits"`
-	Solved       uint64  `json:"solved"`
-	Canceled     uint64  `json:"canceled"`
-	Errors       uint64  `json:"errors"`
-	AvgLatencyMS float64 `json:"avgLatencyMs"`
-}
-
-// EngineStats is the engine-counter slice of GET /v1/stats. The identity
-// Solves == CacheHits + Solved + Canceled + Errors holds at any quiescent
-// point, globally and per algorithm.
-type EngineStats struct {
-	Solves           uint64               `json:"solves"`
-	Batches          uint64               `json:"batches"`
-	ComponentsSolved uint64               `json:"componentsSolved"`
-	CacheHits        uint64               `json:"cacheHits"`
-	CacheMisses      uint64               `json:"cacheMisses"`
-	Solved           uint64               `json:"solved"`
-	Canceled         uint64               `json:"canceled"`
-	Errors           uint64               `json:"errors"`
-	AvgLatencyMS     float64              `json:"avgLatencyMs"`
-	Workers          int                  `json:"workers"`
-	PerAlgorithm     map[string]AlgoStats `json:"perAlgorithm,omitempty"`
-}
-
-// CoalesceStats is the request-coalescing slice of GET /v1/stats: Leads
-// counts flights that ran the engine, Joins counts requests answered by
-// parking on an identical in-flight solve (same instance AND same solver).
+// CoalesceStats is the request-coalescing slice of GET /v1/stats: the
+// coalescer's flights and the requests that joined an identical in-flight
+// solve (same instance AND same solver).
 type CoalesceStats struct {
-	Enabled bool   `json:"enabled"`
-	Leads   uint64 `json:"leads"`
-	Joins   uint64 `json:"joins"`
+	Enabled bool `json:"enabled" metric:"svgicd_coalesce_enabled" help:"1 when request coalescing is on."`
+	engine.CoalesceStats
 }
 
 // LatencyStats is one latency series' sliding-window summary in GET
@@ -268,20 +240,22 @@ type SLOStats struct {
 	// AdaptiveAdmission is false when feedback is disabled
 	// (-no-adaptive-admission): burn rates are still reported but nothing
 	// degrades or sheds.
-	AdaptiveAdmission    bool                        `json:"adaptiveAdmission"`
+	AdaptiveAdmission    bool                        `json:"adaptiveAdmission" metric:"svgicd_adaptive_admission" help:"1 when SLO feedback (degrade/shed) is enabled."`
 	Level                string                      `json:"level"`
-	EffectiveMaxInFlight int                         `json:"effectiveMaxInFlight"`
-	Transitions          uint64                      `json:"transitions"`
-	AdaptiveShed         uint64                      `json:"adaptiveShed"`
-	DegradedTotal        uint64                      `json:"degradedTotal"`
-	DegradedByAlgo       map[string]uint64           `json:"degradedByAlgo,omitempty"`
+	EffectiveMaxInFlight int                         `json:"effectiveMaxInFlight" metric:"svgicd_effective_max_in_flight" help:"In-flight cap after adaptive shedding."`
+	Transitions          uint64                      `json:"transitions" metric:"svgicd_slo_transitions_total" help:"Degradation ladder transitions (the anti-flap budget)."`
+	AdaptiveShed         uint64                      `json:"adaptiveShed" metric:"svgicd_adaptive_shed_total" help:"Requests shed by the tightened adaptive cap."`
+	DegradedTotal        uint64                      `json:"degradedTotal" metric:"svgicd_degraded_requests_total" help:"Requests rerouted to the fallback algorithm while degraded."`
+	DegradedByAlgo       map[string]uint64           `json:"degradedByAlgo,omitempty" metric:"svgicd_degraded_requests_by_algo_total,algo" help:"Degraded requests by the algorithm they asked for."`
 	Objectives           []telemetry.ObjectiveStatus `json:"objectives"`
 }
 
-// StatsResponse answers GET /v1/stats.
+// StatsResponse answers GET /v1/stats. It is also the /metrics table: each
+// field tagged metric:"family[,label]" is one /metrics family (see
+// metrics.go).
 type StatsResponse struct {
 	Server   ServerStats             `json:"server"`
-	Engine   EngineStats             `json:"engine"`
+	Engine   engine.Stats            `json:"engine"`
 	Coalesce CoalesceStats           `json:"coalesce"`
 	Sessions SessionsStats           `json:"sessions"`
 	Store    *StoreStats             `json:"store,omitempty"`

@@ -3,11 +3,10 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
-
-	"github.com/svgic/svgic/internal/session"
 )
 
 // GET /metrics: the serving counters in Prometheus text exposition format
@@ -17,64 +16,150 @@ import (
 // the format is three line shapes, and the container must not grow
 // dependencies for it.
 //
-// Naming follows the Prometheus conventions: one svgicd_* namespace,
-// _total suffixes on counters, base units, and per-algorithm engine
-// counters as an algo="" label rather than a name explosion.
+// The stats structs are the metric table. A /v1/stats field is exported by
+// tagging it metric:"family[,label]", with help:"…" on the first field of
+// each family; exposition.walk reads the tags:
+//
+//   - a tagged uint64, int, float64 or bool field is one sample (a bool
+//     renders as 0 or 1); a family is a counter when its name ends in
+//     _total, and a gauge otherwise;
+//   - "family,key=value" adds a constant label;
+//   - on a map or a slice, "family,label" labels each element with its
+//     sorted key or its index; when the elements are structs the family is
+//     empty and the element's own tags name the families;
+//   - untagged struct fields, and non-nil pointers to structs, are walked
+//     in place; any other untagged field appears only in /v1/stats.
+//
+// The families below that are computed at scrape time rather than stored in
+// a stats field are the only ones written by hand. Naming follows the
+// Prometheus conventions: one svgicd_* namespace, _total suffixes on
+// counters, base units, and per-algorithm counters as an algo="" label
+// rather than a name explosion.
 
-// promWriter accumulates one exposition document.
-type promWriter struct {
+// latencyBounds are the latency histogram's bucket bounds, in seconds.
+var latencyBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+
+// labelEscaper applies the exposition format's three label-value escapes.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// withLabel appends one key="value" pair to a rendered label list.
+func withLabel(labels, key, value string) string {
+	pair := key + `="` + labelEscaper.Replace(value) + `"`
+	if labels == "" {
+		return pair
+	}
+	return labels + "," + pair
+}
+
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// family is one metric family's block: its HELP and TYPE lines, then its
+// samples in the order they were added.
+type family struct {
 	b strings.Builder
 }
 
-// counter emits a single-sample counter with its TYPE header.
-func (p *promWriter) counter(name, help string, v uint64) {
-	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// sample appends one `name{labels} value` line.
+func (f *family) sample(name, labels, value string) {
+	f.b.WriteString(name)
+	if labels != "" {
+		f.b.WriteString("{" + labels + "}")
+	}
+	f.b.WriteString(" " + value + "\n")
 }
 
-// gauge emits a single-sample gauge with its TYPE header.
-func (p *promWriter) gauge(name, help string, v float64) {
-	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+// exposition collects samples by family, so each family is written once,
+// with all of its samples together, however the walk reaches them.
+type exposition struct {
+	order []*family
+	fams  map[string]*family
 }
 
-// labeled emits a labeled family: one TYPE header, one sample per (label
-// value, sample value) pair, in the given order.
-func (p *promWriter) labeled(name, help, typ, label string, keys []string, vals func(string) float64) {
-	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	for _, k := range keys {
-		fmt.Fprintf(&p.b, "%s{%s=%q} %g\n", name, label, k, vals(k))
+// family returns the named family, starting its block on first use.
+func (e *exposition) family(name, typ, help string) *family {
+	if f := e.fams[name]; f != nil {
+		return f
+	}
+	f := &family{}
+	fmt.Fprintf(&f.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	e.fams[name] = f
+	e.order = append(e.order, f)
+	return f
+}
+
+// walk renders the tagged fields of the struct v, each sample carrying the
+// inherited labels.
+func (e *exposition) walk(v reflect.Value, labels string) {
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		tag, tagged := f.Tag.Lookup("metric")
+		if !tagged {
+			switch {
+			case fv.Kind() == reflect.Struct:
+				e.walk(fv, labels)
+			case fv.Kind() == reflect.Pointer && !fv.IsNil() && fv.Elem().Kind() == reflect.Struct:
+				e.walk(fv.Elem(), labels)
+			}
+			continue
+		}
+		name, label, _ := strings.Cut(tag, ",")
+		help := f.Tag.Get("help")
+		switch fv.Kind() {
+		case reflect.Map:
+			keys := fv.MapKeys()
+			sort.Slice(keys, func(a, b int) bool { return keys[a].String() < keys[b].String() })
+			for _, k := range keys {
+				e.element(name, help, fv.MapIndex(k), withLabel(labels, label, k.String()))
+			}
+		case reflect.Slice:
+			for j := 0; j < fv.Len(); j++ {
+				e.element(name, help, fv.Index(j), withLabel(labels, label, strconv.Itoa(j)))
+			}
+		default:
+			if key, value, ok := strings.Cut(label, "="); ok {
+				e.element(name, help, fv, withLabel(labels, key, value))
+			} else {
+				e.element(name, help, fv, labels)
+			}
+		}
 	}
 }
 
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// ladderNum maps the admission ladder rung to its numeric gauge value.
-func ladderNum(level string) float64 {
-	switch level {
-	case "degrade":
-		return 1
-	case "shed":
-		return 2
+// element renders one value of a tagged field: a struct is walked under the
+// element's labels, a scalar is a sample of the named family.
+func (e *exposition) element(name, help string, v reflect.Value, labels string) {
+	var value string
+	switch v.Kind() {
+	case reflect.Struct:
+		e.walk(v, labels)
+		return
+	case reflect.Bool:
+		value = "0"
+		if v.Bool() {
+			value = "1"
+		}
+	case reflect.Int:
+		value = strconv.FormatInt(v.Int(), 10)
+	case reflect.Uint64:
+		value = strconv.FormatUint(v.Uint(), 10)
+	case reflect.Float64:
+		value = formatFloat(v.Float())
 	default:
-		return 0
+		panic(fmt.Sprintf("server: metric %s tags a %s field", name, v.Type()))
 	}
+	typ := "gauge"
+	if strings.HasSuffix(name, "_total") {
+		typ = "counter"
+	}
+	e.family(name, typ, help).sample(name, labels, value)
 }
 
-// stateNum maps an objective state to its numeric gauge value.
-func stateNum(state string) float64 {
-	switch state {
-	case "recovering":
-		return 1
-	case "breached":
-		return 2
-	default:
-		return 0
-	}
-}
+// ladderNum and stateNum map the ladder rung and an objective's state to
+// their gauge values; "normal" and "ok" read as 0.
+var (
+	ladderNum = map[string]float64{"degrade": 1, "shed": 2}
+	stateNum  = map[string]float64{"recovering": 1, "breached": 2}
+)
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -82,187 +167,61 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.StatsSnapshot()
-	var p promWriter
+	e := exposition{fams: make(map[string]*family)}
+	e.walk(reflect.ValueOf(st), "")
 
-	// Admission / HTTP plane.
-	p.counter("svgicd_requests_admitted_total", "Requests admitted past the in-flight bound.", st.Server.Admitted)
-	p.counter("svgicd_requests_shed_total", "Requests shed with 429 (admission or session limit).", st.Server.Shed)
-	p.counter("svgicd_bad_requests_total", "Requests rejected as malformed (4xx).", st.Server.BadRequests)
-	p.counter("svgicd_timeouts_total", "Solves that exceeded their deadline (504).", st.Server.Timeouts)
-	p.counter("svgicd_client_closed_total", "Requests abandoned by the client mid-solve (499).", st.Server.ClientClosed)
-	p.gauge("svgicd_in_flight_requests", "Requests currently holding an admission token.", float64(st.Server.InFlight))
-	p.gauge("svgicd_max_in_flight_requests", "Admission bound.", float64(st.Server.MaxInFlight))
-	p.gauge("svgicd_draining", "1 while the server is draining for shutdown.", boolGauge(st.Server.Draining))
+	e.family("svgicd_engine_avg_solve_seconds", "gauge", "Mean solver wall time.").
+		sample("svgicd_engine_avg_solve_seconds", "", formatFloat(st.Engine.AvgLatencyMS/1000))
 
-	// Engine.
-	p.counter("svgicd_engine_solves_total", "Solve requests reaching the engine.", st.Engine.Solves)
-	p.counter("svgicd_engine_solved_total", "Solves completed by running a solver.", st.Engine.Solved)
-	p.counter("svgicd_engine_cache_hits_total", "Solves answered from the result cache.", st.Engine.CacheHits)
-	p.counter("svgicd_engine_cache_misses_total", "Result-cache misses.", st.Engine.CacheMisses)
-	p.counter("svgicd_engine_canceled_total", "Solves canceled by context.", st.Engine.Canceled)
-	p.counter("svgicd_engine_errors_total", "Solves that failed.", st.Engine.Errors)
-	p.counter("svgicd_engine_batches_total", "Batch solve calls.", st.Engine.Batches)
-	p.counter("svgicd_engine_components_solved_total", "Independently solved social-network components.", st.Engine.ComponentsSolved)
-	p.gauge("svgicd_engine_workers", "Solver worker pool size.", float64(st.Engine.Workers))
-	p.gauge("svgicd_engine_avg_solve_seconds", "Mean solver wall time.", st.Engine.AvgLatencyMS/1000)
-	if len(st.Engine.PerAlgorithm) > 0 {
-		algos := make([]string, 0, len(st.Engine.PerAlgorithm))
-		for name := range st.Engine.PerAlgorithm {
-			algos = append(algos, name)
+	// SLO burn rates and the ladder rung (present only with -slo).
+	if slo := st.SLO; slo != nil {
+		e.family("svgicd_admission_level", "gauge", "Degradation ladder rung: 0 normal, 1 degrade, 2 shed.").
+			sample("svgicd_admission_level", "", formatFloat(ladderNum[slo.Level]))
+		burn := e.family("svgicd_slo_burn_rate", "gauge", "Error-budget burn rate per objective and window (1.0 = burning exactly the budget).")
+		state := e.family("svgicd_slo_state", "gauge", "Objective state: 0 ok, 1 recovering, 2 breached.")
+		observed := e.family("svgicd_slo_observed_quantile_seconds", "gauge", "The objective's quantile observed over its window.")
+		for _, o := range slo.Objectives {
+			l := withLabel("", "slo", o.Name)
+			burn.sample("svgicd_slo_burn_rate", withLabel(l, "window", "fast"), formatFloat(o.FastBurn))
+			burn.sample("svgicd_slo_burn_rate", withLabel(l, "window", "slow"), formatFloat(o.SlowBurn))
+			state.sample("svgicd_slo_state", l, formatFloat(stateNum[o.State]))
+			observed.sample("svgicd_slo_observed_quantile_seconds", l, formatFloat(o.ObservedMS/1000))
 		}
-		sort.Strings(algos)
-		p.labeled("svgicd_engine_algo_solves_total", "Solve requests per algorithm.", "counter", "algo", algos,
-			func(a string) float64 { return float64(st.Engine.PerAlgorithm[a].Solves) })
-		p.labeled("svgicd_engine_algo_cache_hits_total", "Cache hits per algorithm.", "counter", "algo", algos,
-			func(a string) float64 { return float64(st.Engine.PerAlgorithm[a].CacheHits) })
-		p.labeled("svgicd_engine_algo_errors_total", "Failed solves per algorithm.", "counter", "algo", algos,
-			func(a string) float64 { return float64(st.Engine.PerAlgorithm[a].Errors) })
-	}
-
-	// Coalescing.
-	p.gauge("svgicd_coalesce_enabled", "1 when request coalescing is on.", boolGauge(st.Coalesce.Enabled))
-	p.counter("svgicd_coalesce_leads_total", "Coalesced flights that ran the engine.", st.Coalesce.Leads)
-	p.counter("svgicd_coalesce_joins_total", "Requests answered by joining an in-flight solve.", st.Coalesce.Joins)
-
-	// Live sessions.
-	ss := st.Sessions
-	p.gauge("svgicd_sessions_live", "Live sessions.", float64(ss.Live))
-	p.gauge("svgicd_sessions_max", "Session admission bound.", float64(ss.MaxSessions))
-	p.counter("svgicd_sessions_created_total", "Sessions created.", ss.Created)
-	p.counter("svgicd_sessions_restored_total", "Sessions recovered from the durable store at startup.", ss.Restored)
-	p.counter("svgicd_sessions_rejected_total", "Session creates refused at the bound.", ss.Rejected)
-	p.counter("svgicd_sessions_evicted_total", "Idle sessions evicted by the TTL sweep.", ss.Evicted)
-	p.counter("svgicd_sessions_deleted_total", "Sessions explicitly deleted.", ss.Deleted)
-	kinds := []string{"join", "leave", "updatePreference", "rebalance"}
-	byKind := map[string]uint64{"join": ss.Joins, "leave": ss.Leaves, "updatePreference": ss.Updates, "rebalance": ss.Rebalances}
-	p.labeled("svgicd_session_events_total", "Applied live-session events by kind.", "counter", "kind", kinds,
-		func(k string) float64 { return float64(byKind[k]) })
-	p.counter("svgicd_repair_runs_total", "Drift-repair re-solves attempted.", ss.RepairRuns)
-	p.counter("svgicd_repair_swaps_total", "Drift repairs adopted over the incremental configuration.", ss.RepairSwaps)
-	p.counter("svgicd_repair_keeps_total", "Drift repairs that kept the incremental configuration.", ss.RepairKeeps)
-	p.counter("svgicd_repair_stale_total", "Drift repairs discarded as stale.", ss.RepairStale)
-	p.counter("svgicd_repair_errors_total", "Drift repairs that failed or timed out.", ss.RepairErrors)
-
-	// Per-shard session routing: a shard="i" label per hash-partitioned lock
-	// domain, so scrapers can watch routing imbalance and hot shards without
-	// parsing the /v1/stats JSON.
-	p.gauge("svgicd_sessions_shards", "Hash-partitioned session shard count.", float64(ss.Shards))
-	if len(ss.PerShard) > 0 {
-		perShard := make(map[string]session.ShardStats, len(ss.PerShard))
-		shardKeys := make([]string, 0, len(ss.PerShard))
-		for _, sp := range ss.PerShard {
-			k := fmt.Sprintf("%d", sp.Shard)
-			perShard[k] = sp
-			shardKeys = append(shardKeys, k)
-		}
-		p.labeled("svgicd_sessions_shard_live", "Live sessions per shard.", "gauge", "shard", shardKeys,
-			func(k string) float64 { return float64(perShard[k].Live) })
-		p.labeled("svgicd_sessions_shard_created_total", "Sessions created per shard.", "counter", "shard", shardKeys,
-			func(k string) float64 { return float64(perShard[k].Created) })
-		p.labeled("svgicd_sessions_shard_events_total", "Applied live-session events per shard.", "counter", "shard", shardKeys,
-			func(k string) float64 { return float64(perShard[k].EventsApplied) })
 	}
 
 	// Latency digests: one histogram family over the per-series sliding
 	// windows (samples expire with the window, so unlike a stock Prometheus
 	// histogram these can decrease between scrapes), plus explicit quantile
 	// gauges so dashboards get p50/p90/p99 without a histogram_quantile over
-	// coarse buckets.
-	if names := s.tel.Names(); len(names) > 0 {
-		bounds := []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-		wrote := false
-		for _, name := range names {
-			w := s.tel.Window(name)
-			if w == nil {
-				continue
-			}
-			snap := w.Snapshot()
-			if snap.Count == 0 {
-				continue
-			}
-			if !wrote {
-				fmt.Fprintf(&p.b, "# HELP svgicd_latency_seconds Windowed latency distribution per series (routes, algo:*, repair).\n# TYPE svgicd_latency_seconds histogram\n")
-				wrote = true
-			}
-			for _, le := range bounds {
-				fmt.Fprintf(&p.b, "svgicd_latency_seconds_bucket{series=%q,le=%q} %g\n",
-					name, strconv.FormatFloat(le, 'g', -1, 64), w.CDFOver(0, le)*float64(snap.Count))
-			}
-			fmt.Fprintf(&p.b, "svgicd_latency_seconds_bucket{series=%q,le=\"+Inf\"} %d\n", name, snap.Count)
-			fmt.Fprintf(&p.b, "svgicd_latency_seconds_sum{series=%q} %g\n", name, snap.Sum)
-			fmt.Fprintf(&p.b, "svgicd_latency_seconds_count{series=%q} %d\n", name, snap.Count)
+	// coarse buckets. Every value of a series is read from one merged digest,
+	// so a sample recorded mid-scrape cannot make its buckets disagree.
+	for _, name := range s.tel.Names() {
+		win := s.tel.Window(name)
+		if win == nil {
+			continue
 		}
-		wrote = false
-		for _, name := range names {
-			w := s.tel.Window(name)
-			if w == nil || w.Count() == 0 {
-				continue
-			}
-			if !wrote {
-				fmt.Fprintf(&p.b, "# HELP svgicd_latency_quantile_seconds Windowed latency quantiles per series.\n# TYPE svgicd_latency_quantile_seconds gauge\n")
-				wrote = true
-			}
-			for _, q := range []float64{0.5, 0.9, 0.99} {
-				fmt.Fprintf(&p.b, "svgicd_latency_quantile_seconds{series=%q,quantile=%q} %g\n",
-					name, strconv.FormatFloat(q, 'g', -1, 64), w.Quantile(q))
-			}
+		d := win.Merged()
+		n := d.Count()
+		if n == 0 {
+			continue
 		}
-	}
-
-	// SLO burn rates and adaptive admission (present only with -slo).
-	if st.SLO != nil {
-		slo := st.SLO
-		p.gauge("svgicd_adaptive_admission", "1 when SLO feedback (degrade/shed) is enabled.", boolGauge(slo.AdaptiveAdmission))
-		p.gauge("svgicd_admission_level", "Degradation ladder rung: 0 normal, 1 degrade, 2 shed.", ladderNum(slo.Level))
-		p.gauge("svgicd_effective_max_in_flight", "In-flight cap after adaptive shedding.", float64(slo.EffectiveMaxInFlight))
-		p.counter("svgicd_slo_transitions_total", "Degradation ladder transitions (the anti-flap budget).", slo.Transitions)
-		p.counter("svgicd_adaptive_shed_total", "Requests shed by the tightened adaptive cap.", slo.AdaptiveShed)
-		p.counter("svgicd_degraded_requests_total", "Requests rerouted to the fallback algorithm while degraded.", slo.DegradedTotal)
-		if len(slo.DegradedByAlgo) > 0 {
-			algos := make([]string, 0, len(slo.DegradedByAlgo))
-			for a := range slo.DegradedByAlgo {
-				algos = append(algos, a)
-			}
-			sort.Strings(algos)
-			p.labeled("svgicd_degraded_requests_by_algo_total", "Degraded requests by the algorithm they asked for.", "counter", "algo", algos,
-				func(a string) float64 { return float64(slo.DegradedByAlgo[a]) })
+		series := withLabel("", "series", name)
+		hist := e.family("svgicd_latency_seconds", "histogram", "Windowed latency distribution per series (routes, algo:*, repair).")
+		for _, le := range latencyBounds {
+			hist.sample("svgicd_latency_seconds_bucket", withLabel(series, "le", formatFloat(le)), formatFloat(d.CDF(le)*float64(n)))
 		}
-		fmt.Fprintf(&p.b, "# HELP svgicd_slo_burn_rate Error-budget burn rate per objective and window (1.0 = burning exactly the budget).\n# TYPE svgicd_slo_burn_rate gauge\n")
-		for _, o := range slo.Objectives {
-			fmt.Fprintf(&p.b, "svgicd_slo_burn_rate{slo=%q,window=\"fast\"} %g\n", o.Name, o.FastBurn)
-			fmt.Fprintf(&p.b, "svgicd_slo_burn_rate{slo=%q,window=\"slow\"} %g\n", o.Name, o.SlowBurn)
+		hist.sample("svgicd_latency_seconds_bucket", withLabel(series, "le", "+Inf"), strconv.FormatUint(n, 10))
+		hist.sample("svgicd_latency_seconds_sum", series, formatFloat(d.Sum()))
+		hist.sample("svgicd_latency_seconds_count", series, strconv.FormatUint(n, 10))
+		quantiles := e.family("svgicd_latency_quantile_seconds", "gauge", "Windowed latency quantiles per series.")
+		for _, q := range []float64{0.5, 0.9, 0.99} {
+			quantiles.sample("svgicd_latency_quantile_seconds", withLabel(series, "quantile", formatFloat(q)), formatFloat(d.Quantile(q)))
 		}
-		fmt.Fprintf(&p.b, "# HELP svgicd_slo_state Objective state: 0 ok, 1 recovering, 2 breached.\n# TYPE svgicd_slo_state gauge\n")
-		for _, o := range slo.Objectives {
-			fmt.Fprintf(&p.b, "svgicd_slo_state{slo=%q} %g\n", o.Name, stateNum(o.State))
-		}
-		fmt.Fprintf(&p.b, "# HELP svgicd_slo_observed_quantile_seconds The objective's quantile observed over its window.\n# TYPE svgicd_slo_observed_quantile_seconds gauge\n")
-		for _, o := range slo.Objectives {
-			fmt.Fprintf(&p.b, "svgicd_slo_observed_quantile_seconds{slo=%q} %g\n", o.Name, o.ObservedMS/1000)
-		}
-	}
-
-	// Durable store (present only with -data-dir).
-	if st.Store != nil {
-		d := st.Store.Stats
-		p.counter("svgicd_store_appends_total", "WAL records appended.", d.Appends)
-		p.counter("svgicd_store_appended_events_total", "Events inside appended WAL records.", d.AppendedEvents)
-		p.counter("svgicd_store_appended_bytes_total", "Bytes appended to WALs (frames included).", d.AppendedBytes)
-		p.counter("svgicd_store_syncs_total", "fsync calls issued by the store.", d.Syncs)
-		p.counter("svgicd_store_snapshots_total", "Session snapshots written.", d.Snapshots)
-		p.counter("svgicd_store_compactions_total", "WAL truncations behind a snapshot.", d.Compactions)
-		p.counter("svgicd_store_tombstones_total", "Session tombstones written.", d.Tombstones)
-		p.counter("svgicd_store_io_errors_total", "Persistence operations abandoned on I/O failure.", d.IOErrors)
-		p.gauge("svgicd_store_queue_depth", "Persist ops waiting across writer shards.", float64(d.QueueDepth))
-		p.gauge("svgicd_store_open_logs", "Session logs currently open.", float64(d.OpenLogs))
-		p.counter("svgicd_store_recovered_sessions_total", "Sessions recovered at the last startup.", d.RecoveredSessions)
-		p.counter("svgicd_store_replayed_records_total", "WAL tail records replayed during recovery.", d.ReplayedRecords)
-		p.counter("svgicd_store_replayed_events_total", "Events replayed during recovery.", d.ReplayedEvents)
-		p.counter("svgicd_store_torn_tails_total", "WALs that ended in a torn frame at recovery.", d.TornTails)
-		p.counter("svgicd_store_recovery_errors_total", "Sessions that failed to recover.", d.RecoveryErrors)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(p.b.String()))
+	for _, f := range e.order {
+		_, _ = w.Write([]byte(f.b.String()))
+	}
 }

@@ -31,7 +31,8 @@
 //	GET    /v1/algorithms          registered solvers + parameter schemas
 //	GET    /healthz                liveness + drain state
 //	GET    /v1/stats               StatsResponse (engine + admission + coalescing + sessions + store)
-//	GET    /metrics                the same counters in Prometheus text format
+//	GET    /metrics                the tagged /v1/stats counters plus computed gauges
+//	                               (mean solve time, SLO and latency), Prometheus text
 //
 // The /v1/sessions endpoints are the live-session subsystem (the paper's
 // Extension F as a serving path): ID-keyed versioned sessions over a
@@ -660,7 +661,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // StatsSnapshot assembles the /v1/stats payload: engine counters (global and
 // per algorithm), admission counters and coalescing counters.
 func (s *Server) StatsSnapshot() StatsResponse {
-	est := s.eng.Stats()
 	resp := StatsResponse{
 		Server: ServerStats{
 			Admitted:     s.admitted.Load(),
@@ -672,38 +672,9 @@ func (s *Server) StatsSnapshot() StatsResponse {
 			MaxInFlight:  cap(s.sem),
 			Draining:     s.draining.Load(),
 		},
-		Engine: EngineStats{
-			Solves:           est.Solves,
-			Batches:          est.Batches,
-			ComponentsSolved: est.ComponentsSolved,
-			CacheHits:        est.CacheHits,
-			CacheMisses:      est.CacheMisses,
-			Solved:           est.Solved,
-			Canceled:         est.Canceled,
-			Errors:           est.Errors,
-			AvgLatencyMS:     ms(est.AvgLatency()),
-			Workers:          est.Workers,
-		},
+		Engine:   s.eng.Stats(),
+		Coalesce: CoalesceStats{Enabled: true, CoalesceStats: s.coal.Stats()},
 	}
-	if len(est.PerAlgorithm) > 0 {
-		resp.Engine.PerAlgorithm = make(map[string]AlgoStats, len(est.PerAlgorithm))
-		for name, a := range est.PerAlgorithm {
-			avg := 0.0
-			if a.Solved > 0 {
-				avg = ms(a.TotalLatency / time.Duration(a.Solved))
-			}
-			resp.Engine.PerAlgorithm[name] = AlgoStats{
-				Solves:       a.Solves,
-				CacheHits:    a.CacheHits,
-				Solved:       a.Solved,
-				Canceled:     a.Canceled,
-				Errors:       a.Errors,
-				AvgLatencyMS: avg,
-			}
-		}
-	}
-	cst := s.coal.Stats()
-	resp.Coalesce = CoalesceStats{Enabled: true, Leads: cst.Leads, Joins: cst.Joins}
 	resp.Sessions = SessionsStats{
 		Enabled:     true,
 		MaxSessions: s.mgr.MaxSessions(),

@@ -90,29 +90,30 @@ type Options struct {
 // sessions that ever lived (deleting a session does not erase its event
 // counts). Reading it is lock-free: Live is a single atomic and the rest
 // merge per-shard atomic counters, so stats scrapes never contend with the
-// serving path.
+// serving path. The metric tags name svgicd's /metrics families.
 type Stats struct {
-	Live     int    `json:"live"`
-	Created  uint64 `json:"created"`
-	Restored uint64 `json:"restored,omitempty"` // sessions recovered from the durable store
-	Rejected uint64 `json:"rejected"`           // Create calls refused by MaxSessions
-	Evicted  uint64 `json:"evicted"`            // idle sessions removed by the TTL sweep
-	Deleted  uint64 `json:"deleted"`            // explicit deletes
+	Live     int    `json:"live" metric:"svgicd_sessions_live" help:"Live sessions."`
+	Created  uint64 `json:"created" metric:"svgicd_sessions_created_total" help:"Sessions created."`
+	Restored uint64 `json:"restored,omitempty" metric:"svgicd_sessions_restored_total" help:"Sessions recovered from the durable store at startup."`
+	Rejected uint64 `json:"rejected" metric:"svgicd_sessions_rejected_total" help:"Session creates refused at the bound."`
+	Evicted  uint64 `json:"evicted" metric:"svgicd_sessions_evicted_total" help:"Idle sessions evicted by the TTL sweep."`
+	Deleted  uint64 `json:"deleted" metric:"svgicd_sessions_deleted_total" help:"Sessions explicitly deleted."`
 
 	EventsApplied uint64 `json:"eventsApplied"`
-	Joins         uint64 `json:"joins"`
-	Leaves        uint64 `json:"leaves"`
-	Updates       uint64 `json:"updates"`
-	Rebalances    uint64 `json:"rebalances"`
+	Joins         uint64 `json:"joins" metric:"svgicd_session_events_total,kind=join" help:"Applied live-session events by kind."`
+	Leaves        uint64 `json:"leaves" metric:"svgicd_session_events_total,kind=leave"`
+	Updates       uint64 `json:"updates" metric:"svgicd_session_events_total,kind=updatePreference"`
+	Rebalances    uint64 `json:"rebalances" metric:"svgicd_session_events_total,kind=rebalance"`
 
-	RepairRuns   uint64 `json:"repairRuns"`   // drift-repair solves attempted
-	RepairSwaps  uint64 `json:"repairSwaps"`  // re-solve beat the margin and was adopted
-	RepairKeeps  uint64 `json:"repairKeeps"`  // incremental configuration held
-	RepairStale  uint64 `json:"repairStale"`  // discarded: events raced the re-solve
-	RepairErrors uint64 `json:"repairErrors"` // re-solve failed or timed out
-	RepairSkips  uint64 `json:"repairSkips"`  // cycles skipped: session unchanged since its last repair
-	RepairWarm   uint64 `json:"repairWarm"`   // repair solves seeded from the incumbent configuration
-	RepairCold   uint64 `json:"repairCold"`   // repair solves run cold
+	RepairRuns   uint64 `json:"repairRuns" metric:"svgicd_repair_runs_total" help:"Drift-repair re-solves attempted."`
+	RepairSwaps  uint64 `json:"repairSwaps" metric:"svgicd_repair_swaps_total" help:"Drift repairs adopted over the incremental configuration."`
+	RepairKeeps  uint64 `json:"repairKeeps" metric:"svgicd_repair_keeps_total" help:"Drift repairs that kept the incremental configuration."`
+	RepairStale  uint64 `json:"repairStale" metric:"svgicd_repair_stale_total" help:"Drift repairs discarded as stale."` // events raced the re-solve
+	RepairErrors uint64 `json:"repairErrors" metric:"svgicd_repair_errors_total" help:"Drift repairs that failed or timed out."`
+
+	RepairSkips uint64 `json:"repairSkips"` // cycles skipped: session unchanged since its last repair
+	RepairWarm  uint64 `json:"repairWarm"`  // repair solves seeded from the incumbent configuration
+	RepairCold  uint64 `json:"repairCold"`  // repair solves run cold
 }
 
 // Manager is the concurrency-safe registry of live sessions: a thin router

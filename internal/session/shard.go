@@ -39,12 +39,12 @@ func ShardForID(id string, shards int) int {
 // skew (per-shard event totals) directly.
 type ShardStats struct {
 	Shard         int    `json:"shard"`
-	Live          int    `json:"live"`
-	Created       uint64 `json:"created"`
+	Live          int    `json:"live" metric:"svgicd_sessions_shard_live" help:"Live sessions per shard."`
+	Created       uint64 `json:"created" metric:"svgicd_sessions_shard_created_total" help:"Sessions created per shard."`
 	Restored      uint64 `json:"restored,omitempty"`
 	Evicted       uint64 `json:"evicted"`
 	Deleted       uint64 `json:"deleted"`
-	EventsApplied uint64 `json:"eventsApplied"`
+	EventsApplied uint64 `json:"eventsApplied" metric:"svgicd_sessions_shard_events_total" help:"Applied live-session events per shard."`
 	RepairRuns    uint64 `json:"repairRuns"`
 	RepairSwaps   uint64 `json:"repairSwaps"`
 	RepairSkips   uint64 `json:"repairSkips"`

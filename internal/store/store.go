@@ -153,31 +153,32 @@ type Store struct {
 	recErrors   atomic.Uint64
 }
 
-// Stats is a point-in-time snapshot of the store's counters.
+// Stats is a point-in-time snapshot of the store's counters. The metric
+// tags name svgicd's /metrics families.
 type Stats struct {
 	Policy string `json:"fsync"`
 
-	Appends        uint64 `json:"appends"`        // WAL records written
-	AppendedEvents uint64 `json:"appendedEvents"` // events inside those records
-	AppendedBytes  uint64 `json:"appendedBytes"`
-	Syncs          uint64 `json:"syncs"`
-	Snapshots      uint64 `json:"snapshots"`
+	Appends        uint64 `json:"appends" metric:"svgicd_store_appends_total" help:"WAL records appended."`
+	AppendedEvents uint64 `json:"appendedEvents" metric:"svgicd_store_appended_events_total" help:"Events inside appended WAL records."`
+	AppendedBytes  uint64 `json:"appendedBytes" metric:"svgicd_store_appended_bytes_total" help:"Bytes appended to WALs (frames included)."`
+	Syncs          uint64 `json:"syncs" metric:"svgicd_store_syncs_total" help:"fsync calls issued by the store."`
+	Snapshots      uint64 `json:"snapshots" metric:"svgicd_store_snapshots_total" help:"Session snapshots written."`
 	SnapshotBytes  uint64 `json:"snapshotBytes"`
-	Compactions    uint64 `json:"compactions"` // WAL truncations behind a snapshot
-	Tombstones     uint64 `json:"tombstones"`
-	IOErrors       uint64 `json:"ioErrors"`
+	Compactions    uint64 `json:"compactions" metric:"svgicd_store_compactions_total" help:"WAL truncations behind a snapshot."`
+	Tombstones     uint64 `json:"tombstones" metric:"svgicd_store_tombstones_total" help:"Session tombstones written."`
+	IOErrors       uint64 `json:"ioErrors" metric:"svgicd_store_io_errors_total" help:"Persistence operations abandoned on I/O failure."`
 	Dropped        uint64 `json:"dropped"` // ops discarded after Close (caller bug)
 
-	QueueDepth int `json:"queueDepth"` // ops waiting across all shards
-	OpenLogs   int `json:"openLogs"`
+	QueueDepth int `json:"queueDepth" metric:"svgicd_store_queue_depth" help:"Persist ops waiting across writer shards."`
+	OpenLogs   int `json:"openLogs" metric:"svgicd_store_open_logs" help:"Session logs currently open."`
 
 	// Recovery counters (populated by Recover).
-	RecoveredSessions uint64 `json:"recoveredSessions"`
-	ReplayedRecords   uint64 `json:"replayedRecords"` // WAL tail records replayed
-	ReplayedEvents    uint64 `json:"replayedEvents"`  // events inside those records
-	SkippedRecords    uint64 `json:"skippedRecords"`  // already covered by the snapshot
-	TornTails         uint64 `json:"tornTails"`       // logs that ended in a torn frame
-	RecoveryErrors    uint64 `json:"recoveryErrors"`  // sessions that could not be recovered
+	RecoveredSessions uint64 `json:"recoveredSessions" metric:"svgicd_store_recovered_sessions_total" help:"Sessions recovered at the last startup."`
+	ReplayedRecords   uint64 `json:"replayedRecords" metric:"svgicd_store_replayed_records_total" help:"WAL tail records replayed during recovery."`
+	ReplayedEvents    uint64 `json:"replayedEvents" metric:"svgicd_store_replayed_events_total" help:"Events replayed during recovery."`
+	SkippedRecords    uint64 `json:"skippedRecords"` // already covered by the snapshot
+	TornTails         uint64 `json:"tornTails" metric:"svgicd_store_torn_tails_total" help:"WALs that ended in a torn frame at recovery."`
+	RecoveryErrors    uint64 `json:"recoveryErrors" metric:"svgicd_store_recovery_errors_total" help:"Sessions that failed to recover."`
 }
 
 // shard owns a subset of sessions: their open logs and the ordered op queue.

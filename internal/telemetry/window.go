@@ -161,6 +161,11 @@ func (w *Window) CountOver(over time.Duration) uint64 {
 // Count reports the samples inside the full window.
 func (w *Window) Count() uint64 { return w.CountOver(0) }
 
+// Merged returns one digest of every sample inside the full window. The
+// caller owns it, so all reads of it see the same samples however many
+// arrive meanwhile.
+func (w *Window) Merged() *Digest { return w.merged(0) }
+
 // Snapshot summarizes the full window for stats endpoints.
 func (w *Window) Snapshot() WindowSnapshot {
 	d := w.merged(0)
