@@ -303,6 +303,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(raw2)
+	checkExposition(t, text)
 
 	for _, want := range []string{
 		"# TYPE svgicd_requests_admitted_total counter",

@@ -162,7 +162,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // wall-clock and masked.
 func TestMetricsGolden(t *testing.T) {
 	ts := goldenTraffic(t)
-	scrape := strings.TrimSuffix(strings.TrimPrefix(string(get(t, ts.URL+"/metrics")), "# HELP "), "\n")
+	scrape := string(get(t, ts.URL+"/metrics"))
+	checkExposition(t, scrape)
+	scrape = strings.TrimSuffix(strings.TrimPrefix(scrape, "# HELP "), "\n")
 	blocks := strings.Split(scrape, "\n# HELP ")
 	for i, block := range blocks {
 		if strings.HasPrefix(block, "svgicd_engine_avg_solve_seconds ") {

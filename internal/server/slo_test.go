@@ -163,6 +163,7 @@ func TestSLODegradeShedRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := string(rawBytes)
+	checkExposition(t, raw)
 	for _, want := range []string{
 		"svgicd_slo_burn_rate{slo=\"p50 solve < 100ms over 1m0s\",window=\"fast\"}",
 		"svgicd_degraded_requests_by_algo_total{algo=\"ip\"} 1",
