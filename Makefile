@@ -24,13 +24,17 @@ test-short:
 # event that the value is finite and within 1e-9 of a full recompute and that
 # the configuration stays valid. FuzzParseObjectives parses arbitrary -slo
 # text and checks that every accepted objective is evaluable (0 < q < 1,
-# positive threshold, window ≥ 12ms) and survives a String round trip. A
-# failing input is saved under the package's testdata/fuzz/, where plain
-# `go test` replays it.
+# positive threshold, window ≥ 12ms) and survives a String round trip.
+# FuzzUnmarshalInstanceStrict decodes arbitrary bytes as an instance and
+# checks that an accepted one is valid, has its declared user count and
+# keeps its Fingerprint through a marshal round trip. A failing input is
+# saved under the package's testdata/fuzz/, where plain `go test` replays
+# it.
 fuzz:
 	$(GO) test ./internal/lp -run='^$$' -fuzz='^FuzzProjectCappedSimplex$$' -fuzztime=10s
 	$(GO) test ./internal/session -run='^$$' -fuzz='^FuzzSessionApply$$' -fuzztime=10s
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzParseObjectives$$' -fuzztime=10s
+	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzUnmarshalInstanceStrict$$' -fuzztime=10s
 
 # Benchmark smoke: one iteration of every benchmark, no tests.
 bench:

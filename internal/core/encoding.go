@@ -136,14 +136,9 @@ func InstanceFromJSON(ij *InstanceJSON) (*Instance, error) {
 		return nil, fmt.Errorf("core: users/items/slots must be positive (got %d/%d/%d)",
 			ij.Users, ij.Items, ij.Slots)
 	}
-	g := graph.New(ij.Users)
-	for _, e := range ij.Edges {
-		g.AddEdge(e.From, e.To)
-	}
-	for _, e := range ij.Social {
-		g.AddEdge(e.From, e.To)
-	}
-	in := NewInstance(g, ij.Items, ij.Slots, ij.Lambda)
+	// Check the declared sizes against the document before allocating
+	// users × items, so memory follows the document's size (which the
+	// caller bounds) rather than two numbers in it.
 	if len(ij.Preferences) != ij.Users {
 		return nil, fmt.Errorf("core: preferences rows = %d, want %d", len(ij.Preferences), ij.Users)
 	}
@@ -151,6 +146,18 @@ func InstanceFromJSON(ij *InstanceJSON) (*Instance, error) {
 		if len(row) != ij.Items {
 			return nil, fmt.Errorf("core: preferences[%d] has %d items, want %d", u, len(row), ij.Items)
 		}
+	}
+	g := graph.New(ij.Users)
+	for _, edges := range [][]EdgeJSON{ij.Edges, ij.Social} {
+		for _, e := range edges {
+			if e.From < 0 || e.From >= ij.Users || e.To < 0 || e.To >= ij.Users {
+				return nil, fmt.Errorf("core: edge (%d,%d) has an endpoint outside users [0,%d)", e.From, e.To, ij.Users)
+			}
+			g.AddEdge(e.From, e.To)
+		}
+	}
+	in := NewInstance(g, ij.Items, ij.Slots, ij.Lambda)
+	for u, row := range ij.Preferences {
 		copy(in.Pref[u], row)
 	}
 	for _, e := range ij.Social {

@@ -220,6 +220,17 @@ func TestStrictDecodeRejectsUnknownField(t *testing.T) {
 		t.Errorf("error %q does not name the unknown field", er.Error)
 	}
 
+	// An edge naming an undeclared user is refused, not silently dropped.
+	outside := []byte(`{
+	  "users": 2, "items": 3, "slots": 2, "lambda": 0.5,
+	  "edges": [{"from": 0, "to": 2}],
+	  "preferences": [[1, 0.5, 0], [0.9, 0.1, 0.2]]
+	}`)
+	resp, data = postJSON(t, ts.URL+"/v1/solve", outside)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("edge to user 2 of 2: status %d, want 400: %s", resp.StatusCode, data)
+	}
+
 	// Trailing garbage after the document is rejected too.
 	_, good := testInstance(t, 1)
 	resp, _ = postJSON(t, ts.URL+"/v1/solve", append(append([]byte{}, good...), []byte(`{"users":1}`)...))
