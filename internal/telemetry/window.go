@@ -147,12 +147,6 @@ func (w *Window) QuantileOver(over time.Duration, q float64) float64 {
 // Quantile estimates the q-quantile over the full window.
 func (w *Window) Quantile(q float64) float64 { return w.QuantileOver(0, q) }
 
-// CDFOver estimates the fraction of samples ≤ x (seconds) over the trailing
-// `over` span.
-func (w *Window) CDFOver(over time.Duration, x float64) float64 {
-	return w.merged(over).CDF(x)
-}
-
 // CountOver reports the samples inside the trailing `over` span.
 func (w *Window) CountOver(over time.Duration) uint64 {
 	return w.merged(over).Count()
