@@ -250,9 +250,9 @@ type SLOStats struct {
 	Objectives           []telemetry.ObjectiveStatus `json:"objectives"`
 }
 
-// StatsResponse answers GET /v1/stats. It is also the /metrics table: each
-// field tagged metric:"family[,label]" is one /metrics family (see
-// metrics.go).
+// StatsResponse answers GET /v1/stats. It is also the /metrics table:
+// fields tagged metric:"family[,label]", here and in the embedded engine,
+// session and store structs, are exported there (see metrics.go).
 type StatsResponse struct {
 	Server   ServerStats             `json:"server"`
 	Engine   engine.Stats            `json:"engine"`

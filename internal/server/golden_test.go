@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -122,15 +121,7 @@ func goldenTraffic(t *testing.T) *httptest.Server {
 // get returns the body of a GET that must answer 200.
 func get(t *testing.T, url string) []byte {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, data := doJSON(t, http.MethodGet, url, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, data)
 	}
