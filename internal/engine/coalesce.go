@@ -92,7 +92,7 @@ func (c *Coalescer) SolveWith(ctx context.Context, in *core.Instance, solver cor
 func (c *Coalescer) solve(ctx context.Context, in *core.Instance, solver core.Solver) (*core.Solution, error) {
 	if solver != nil && !keyedSolver(solver) {
 		c.leads.Add(1)
-		return c.e.solve(ctx, in, solver)
+		return c.e.solve(ctx, in, solver, nil)
 	}
 	key := cacheKey{fp: core.Fingerprint(in), solver: c.e.solverKeyFor(solver)}
 	for {
@@ -125,7 +125,7 @@ func (c *Coalescer) solve(ctx context.Context, in *core.Instance, solver core.So
 		c.mu.Unlock()
 		c.leads.Add(1)
 
-		sol, err := c.e.solve(ctx, in, solver)
+		sol, err := c.e.solve(ctx, in, solver, &key)
 
 		// Unregister first: arrivals from here on start a fresh flight (and
 		// hit the engine's result cache if this one succeeded). The joiner
@@ -163,7 +163,8 @@ func (c *Coalescer) SolveBatch(ctx context.Context, ins []*core.Instance) ([]*co
 // SolveBatchEach is SolveBatch with a per-item solver selection: solvers is
 // either nil (every item uses the engine default) or positional with ins
 // (nil entries use the default). The server's mixed-algorithm batches route
-// through here.
+// through here. Each call counts as one engine batch, as
+// Engine.SolveBatchEach does.
 func (c *Coalescer) SolveBatchEach(ctx context.Context, ins []*core.Instance, solvers []core.Solver) ([]*core.Solution, error) {
 	if solvers != nil && len(solvers) != len(ins) {
 		return nil, fmt.Errorf("engine: %d solvers for %d instances", len(solvers), len(ins))
@@ -184,5 +185,6 @@ func (c *Coalescer) SolveBatchEach(ctx context.Context, ins []*core.Instance, so
 		}()
 	}
 	wg.Wait()
+	c.e.batches.Add(1)
 	return sols, errors.Join(errs...)
 }

@@ -351,7 +351,7 @@ func (e *Engine) record(algo string, o outcome, latency time.Duration) {
 
 // Solve answers one instance with the engine's default solver. See SolveWith.
 func (e *Engine) Solve(ctx context.Context, in *core.Instance) (*core.Solution, error) {
-	return e.solve(ctx, in, nil)
+	return e.solve(ctx, in, nil, nil)
 }
 
 // DefaultSolver returns the engine's default solver instance — what Solve
@@ -377,10 +377,14 @@ func (e *Engine) SolveWith(ctx context.Context, in *core.Instance, solver core.S
 	if solver == nil {
 		return nil, errors.New("engine: SolveWith requires a solver (use Solve for the default)")
 	}
-	return e.solve(ctx, in, solver)
+	return e.solve(ctx, in, solver, nil)
 }
 
-func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solver) (*core.Solution, error) {
+// solve is every solve path's body. key is the call's cache key when the
+// caller has already computed it (the Coalescer keys its flights the same
+// way), nil otherwise; fingerprinting costs about as much as a cache hit,
+// so it must not run twice.
+func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solver, key *cacheKey) (*core.Solution, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -402,10 +406,11 @@ func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solve
 		return nil, err
 	}
 	start := time.Now()
-	var key cacheKey
 	if useCache {
-		key = cacheKey{fp: core.Fingerprint(in), solver: e.solverKeyFor(solver)}
-		if sol, ok := e.cache.get(key); ok {
+		if key == nil {
+			key = &cacheKey{fp: core.Fingerprint(in), solver: e.solverKeyFor(solver)}
+		}
+		if sol, ok := e.cache.get(*key); ok {
 			e.record(algo, outcomeCacheHit, 0)
 			return sol, nil
 		}
@@ -475,7 +480,7 @@ func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solve
 	}
 	sol.Wall = time.Since(start)
 	if useCache {
-		e.cache.put(key, sol)
+		e.cache.put(*key, sol)
 	}
 	e.record(algo, outcomeSolved, sol.Wall)
 	return sol, nil
@@ -526,7 +531,7 @@ func (e *Engine) SolveBatchEach(ctx context.Context, ins []*core.Instance, solve
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sols[i], errs[i] = e.solve(ctx, in, solver)
+			sols[i], errs[i] = e.solve(ctx, in, solver, nil)
 		}()
 	}
 	wg.Wait()

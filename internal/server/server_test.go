@@ -194,6 +194,37 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchCountsOneEngineBatch: a /v1/solve/batch request goes through the
+// coalescer, and still counts as one engine batch in /v1/stats.
+func TestBatchCountsOneEngineBatch(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	srv, err := New(Options{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var ijs []core.InstanceJSON
+	for seed := uint64(20); seed < 22; seed++ {
+		_, body := testInstance(t, seed)
+		var ij core.InstanceJSON
+		decodeInto(t, body, &ij)
+		ijs = append(ijs, ij)
+	}
+	body, err := json.Marshal(ijs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, data := postJSON(t, ts.URL+"/v1/solve/batch", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	if st := srv.StatsSnapshot().Engine; st.Batches != 1 || st.Solves != 2 {
+		t.Fatalf("engine stats after one 2-item batch: batches=%d solves=%d, want 1 and 2", st.Batches, st.Solves)
+	}
+}
+
 // TestStrictDecodeRejectsUnknownField: the serving path inherits the strict
 // ingestion discipline — a misspelled field is a 400, not a silent drop.
 func TestStrictDecodeRejectsUnknownField(t *testing.T) {
