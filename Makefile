@@ -27,14 +27,17 @@ test-short:
 # positive threshold, window ≥ 12ms) and survives a String round trip.
 # FuzzUnmarshalInstanceStrict decodes arbitrary bytes as an instance and
 # checks that an accepted one is valid, has its declared user count and
-# keeps its Fingerprint through a marshal round trip. A failing input is
-# saved under the package's testdata/fuzz/, where plain `go test` replays
-# it.
+# keeps its Fingerprint through a marshal round trip. FuzzReadFrames feeds
+# arbitrary bytes to the WAL frame reader and checks that the frames it
+# returns re-frame to a prefix of the input, which is the whole input unless
+# a tear is reported at its end. A failing input is saved under the
+# package's testdata/fuzz/, where plain `go test` replays it.
 fuzz:
 	$(GO) test ./internal/lp -run='^$$' -fuzz='^FuzzProjectCappedSimplex$$' -fuzztime=10s
 	$(GO) test ./internal/session -run='^$$' -fuzz='^FuzzSessionApply$$' -fuzztime=10s
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzParseObjectives$$' -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzUnmarshalInstanceStrict$$' -fuzztime=10s
+	$(GO) test ./internal/store -run='^$$' -fuzz='^FuzzReadFrames$$' -fuzztime=10s
 
 # Benchmark smoke: one iteration of every benchmark, no tests.
 bench:
