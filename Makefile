@@ -43,12 +43,13 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Sharded-session contention benchmark: single-lock (shards=1) vs sharded
-# manager throughput at 1/2/4/8 concurrent workers, written to
-# BENCH_sessions.json — the repo's tracked perf-trajectory artifact. 500ms
-# per sub-benchmark keeps the shard-count trend above run-to-run noise.
+# Session-table contention benchmark: snapshot reads through the manager's
+# one table lock at 1/2/4/8 concurrent workers, written to
+# BENCH_sessions.json. Each sub-benchmark raises GOMAXPROCS to its worker
+# count, so the workers contend even on a 1-CPU runner; 500ms per
+# sub-benchmark keeps the worker-count trend above run-to-run noise.
 bench-sessions:
-	$(GO) test ./internal/session -run='^$$' -bench='BenchmarkManagerSharded' -benchtime=500ms \
+	$(GO) test ./internal/session -run='^$$' -bench='^BenchmarkManagerContention$$' -benchtime=500ms \
 		| $(GO) run ./cmd/benchjson -o BENCH_sessions.json
 
 # Dynamic hot-path benchmarks, written to BENCH_dynamic.json: per-event cost
@@ -99,7 +100,7 @@ lint: lint-internal
 	fi
 
 # Project invariants — svgiclint (see docs/STATIC_ANALYSIS.md): solve outside
-# session/shard locks, Clone before storing cloneable inputs, ctx threaded
+# session/manager locks, Clone before storing cloneable inputs, ctx threaded
 # through serving paths, seeded randomness, no lock-order cycles, no
 # untracked goroutines in serving packages. Driven through `go vet -vettool`
 # so test compilation units are analyzed too. Zero deps:
@@ -172,16 +173,13 @@ slo-smoke:
 # offline replay of its acknowledged event prefix produces — once under
 # per-event fsync, once with fsync off (prefix consistency must hold under
 # both; a hot 16-event snapshot cadence keeps compaction in the picture).
-# -session-shards 4 makes the restarted child restore every session into a
-# hash-routed shard, so recovery-into-the-owning-shard is exercised end to
-# end under both fsync policies.
 crash-smoke:
 	$(GO) build -o bin/svgicd ./cmd/svgicd
 	$(GO) build -o bin/svgicload ./cmd/svgicload
 	rm -rf bin/crash-data-always bin/crash-data-off
 	./bin/svgicload -dynamic -crash -sessions 4 -requests 240 -seed 11 \
-		./bin/svgicd -data-dir bin/crash-data-always -fsync always -snapshot-every 16 -session-shards 4 -workers 2 -seed 11
+		./bin/svgicd -data-dir bin/crash-data-always -fsync always -snapshot-every 16 -workers 2 -seed 11
 	./bin/svgicload -dynamic -crash -sessions 4 -requests 240 -seed 12 \
-		./bin/svgicd -data-dir bin/crash-data-off -fsync off -snapshot-every 16 -session-shards 4 -workers 2 -seed 12
+		./bin/svgicd -data-dir bin/crash-data-off -fsync off -snapshot-every 16 -workers 2 -seed 12
 
 check: fmt-check vet lint build test-short fuzz perfbench-check

@@ -2,7 +2,7 @@
 // artifact, so benchmark results can be committed and diffed as the repo's
 // perf trajectory (BENCH_*.json files) instead of living only in CI logs.
 //
-//	go test ./internal/session -run '^$' -bench BenchmarkManagerSharded | benchjson -o BENCH_sessions.json
+//	go test ./internal/session -run '^$' -bench BenchmarkManagerContention | benchjson -o BENCH_sessions.json
 //
 // Every input line is echoed to stderr, so piping through benchjson keeps
 // the human-readable benchmark table in the terminal / CI log. The output

@@ -135,10 +135,6 @@ func newApp(cfg *daemon.Config) (*app, error) {
 			Backend:      backend,
 			Sync:         policy,
 			SyncInterval: cfg.FsyncInterval,
-			// Align the persister's writer shards with the session shards:
-			// outbox dispatch stays ordered per session but parallel across
-			// shards, so the durable path scales with the serving path.
-			Shards: cfg.SessionShards,
 		})
 		if err != nil {
 			eng.Close()
@@ -147,7 +143,6 @@ func newApp(cfg *daemon.Config) (*app, error) {
 	}
 	mgr, err := session.NewManager(session.Options{
 		Engine:         eng,
-		Shards:         cfg.SessionShards,
 		MaxSessions:    cfg.MaxSessions,
 		TTL:            cfg.SessionTTL,
 		RepairInterval: cfg.RepairInterval,
@@ -225,9 +220,9 @@ func serve(cfg *daemon.Config) error {
 	// the send never blocks the exit.
 	//lint:ignore goleak acceptor terminated by httpSrv.Shutdown/Close in the drain path below
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "svgicd: serving on %s (workers=%d cache=%d algo=%s max-inflight=%d max-sessions=%d session-shards=%d repair=%s)\n",
+	fmt.Fprintf(os.Stderr, "svgicd: serving on %s (workers=%d cache=%d algo=%s max-inflight=%d max-sessions=%d repair=%s)\n",
 		cfg.Addr, a.eng.Stats().Workers, cfg.Cache, cfg.Algo, a.srv.StatsSnapshot().Server.MaxInFlight,
-		cfg.MaxSessions, a.mgr.Shards(), cfg.RepairInterval)
+		cfg.MaxSessions, cfg.RepairInterval)
 	if cfg.SLO != "" {
 		fmt.Fprintf(os.Stderr, "svgicd: latency objectives %q (degrade-algo=%s adaptive-admission=%v)\n",
 			cfg.SLO, cfg.SLODegradeAlgo, !cfg.NoAdaptiveAdmission)

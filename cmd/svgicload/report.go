@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/svgic/svgic/internal/server"
@@ -177,28 +176,6 @@ func printStats(c *child) (*server.StatsResponse, error) {
 		}
 		fmt.Printf("drift-repair: runs=%d swaps=%d keeps=%d stale=%d errors=%d (%.1f%% of completed cycles swapped)\n",
 			ss.RepairRuns, ss.RepairSwaps, ss.RepairKeeps, ss.RepairStale, ss.RepairErrors, swapRate)
-		if len(ss.PerShard) > 0 {
-			// Routing imbalance: how unevenly the FNV-1a partition spread the
-			// created sessions, as max-shard / mean-shard (1.00 = perfectly
-			// uniform). Reported over created counts, not live — deletes and
-			// evictions would mask a skewed router.
-			var parts []string
-			var total, maxCreated uint64
-			for _, sp := range ss.PerShard {
-				parts = append(parts, fmt.Sprintf("%d:%d", sp.Shard, sp.Created))
-				total += sp.Created
-				if sp.Created > maxCreated {
-					maxCreated = sp.Created
-				}
-			}
-			imbalance := 0.0
-			if total > 0 {
-				mean := float64(total) / float64(len(ss.PerShard))
-				imbalance = float64(maxCreated) / mean
-			}
-			fmt.Printf("shards: n=%d created-per-shard=[%s] imbalance=%.2f (max/mean)\n",
-				ss.Shards, strings.Join(parts, " "), imbalance)
-		}
 	}
 	if slo := st.SLO; slo != nil {
 		fmt.Printf("slo: adaptive=%v level=%s effectiveMaxInFlight=%d transitions=%d adaptiveShed=%d degraded=%d\n",

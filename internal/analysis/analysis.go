@@ -3,7 +3,7 @@
 // API surface that svgiclint's checkers are written against.
 //
 // Six PRs of growth piled up invariants that existed only in comments and
-// reviewer memory: solver calls must happen outside session/shard state
+// reviewer memory: solver calls must happen outside session state
 // locks, instances must be deep-cloned before a constructor stores them,
 // serving paths must thread context.Context, and workload randomness must
 // flow from an explicit seed. The analyzer suite under this directory turns

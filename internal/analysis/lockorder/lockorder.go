@@ -9,10 +9,10 @@
 // acquisitions and, for each one that closes a cycle in the global graph,
 // reports the full acquisition chain with one file:line anchor per edge.
 //
-// Lock classes are receiver-scoped (`session.shard.mu`, `engine.Engine.mu`):
+// Lock classes are receiver-scoped (`session.Manager.mu`, `engine.Engine.mu`):
 // a cycle between classes means two goroutines can interleave the same two
 // locks in opposite orders, whichever instances they hold — the
-// shard-sweep-vs-session-lock shape. A self-edge (a class acquired while
+// table-sweep-vs-session-lock shape. A self-edge (a class acquired while
 // another instance of the same class is held) is reported as a one-edge
 // cycle: without a documented instance order it is the same hazard.
 package lockorder

@@ -1,11 +1,11 @@
 // Package locksolve enforces the repo's "solve outside the lock" rule: no
 // solver entry point (Solve/Solve*) and no Persister durability hook may be
 // reachable — directly or through a helper, in this package or another — while
-// a session/shard state mutex is held.
+// a session or session-manager state mutex is held.
 //
 // The project's lock-naming convention scopes the check: state mutexes are
-// fields or variables named exactly `mu` (Session.mu, shard.mu). Coordination
-// locks with descriptive names (outMu, algoMu, encMu, closeMu) deliberately do
+// fields or variables named exactly `mu` (Session.mu, Manager.mu). Coordination
+// locks with descriptive names (outMu, algoMu, encMu, idMu) deliberately do
 // not count — draining an outbox under outMu is the designed pattern, solving
 // under s.mu is the deadlock-and-latency bug this analyzer exists to stop.
 //
@@ -27,7 +27,7 @@ import (
 // Analyzer is the locksolve check.
 var Analyzer = &analysis.Analyzer{
 	Name: "locksolve",
-	Doc: "report solver or persistence calls reachable while a session/shard state mutex (a `mu`-named sync lock) is held; " +
+	Doc: "report solver or persistence calls reachable while a session or manager state mutex (a `mu`-named sync lock) is held; " +
 		"snapshot under the lock, solve outside it, re-validate on re-lock",
 	Run: run,
 }

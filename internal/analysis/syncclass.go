@@ -10,13 +10,13 @@ import (
 )
 
 // This file names sync primitives. The concurrency analyzers (lockorder,
-// goleak) reason about lock CLASSES, not lock instances: every shard's `mu`
-// is the same class, because the deadlock question "may shard.mu be acquired
-// while Session.mu is held?" is a property of the code shape, not of which
-// shard a particular goroutine touched. A class is keyed by the receiver
-// type that owns the field — `session.shard.mu`, `engine.Engine.cacheMu`,
-// `store.Store.writerMu` — which is exactly the taxonomy documented in
-// docs/STATIC_ANALYSIS.md.
+// goleak) reason about lock CLASSES, not lock instances: every session's `mu`
+// is the same class, because the deadlock question "may Session.mu be
+// acquired while Manager.mu is held?" is a property of the code shape, not of
+// which session a particular goroutine touched. A class is keyed by the
+// receiver type that owns the field — `session.Manager.mu`,
+// `engine.Engine.cacheMu`, `store.Store.writerMu` — which is exactly the
+// taxonomy documented in docs/STATIC_ANALYSIS.md.
 
 // syncTypeName returns the sync-package type name of t after pointer deref —
 // "Mutex", "RWMutex", "WaitGroup", … — or "" for anything not from sync.

@@ -37,7 +37,6 @@ type Config struct {
 	NoAdaptiveAdmission bool
 
 	MaxSessions    int
-	SessionShards  int
 	SessionTTL     time.Duration
 	RepairInterval time.Duration
 	RepairMargin   float64
@@ -72,8 +71,6 @@ func Flags(fs *flag.FlagSet) *Config {
 
 	fs.IntVar(&cfg.MaxSessions, "max-sessions", session.DefaultMaxSessions,
 		"live-session admission bound; creates beyond it are shed with 429")
-	fs.IntVar(&cfg.SessionShards, "session-shards", 0,
-		"hash-partitioned session shard count: each shard is an independent lock domain with its own eviction/repair goroutine (0 = GOMAXPROCS, 1 = single-lock)")
 	fs.DurationVar(&cfg.SessionTTL, "session-ttl", 10*time.Minute,
 		"evict live sessions idle longer than this (0 = never)")
 	fs.DurationVar(&cfg.RepairInterval, "repair-interval", 0,

@@ -172,17 +172,13 @@ type SessionResponse struct {
 	Metrics    session.Metrics `json:"metrics"`
 }
 
-// SessionsStats is the live-session slice of GET /v1/stats: manager-level
-// admission/eviction counters, aggregate event counts, the drift-repair
-// swap/keep/stale split, and the per-shard counter slices (shard count plus
-// one entry per hash-partitioned lock domain, for routing-imbalance and
-// hot-shard monitoring).
+// SessionsStats is the live-session slice of GET /v1/stats: the admission
+// bound, manager-level admission/eviction counters, aggregate event counts
+// and the drift-repair swap/keep/stale split.
 type SessionsStats struct {
 	Enabled     bool `json:"enabled"`
 	MaxSessions int  `json:"maxSessions" metric:"svgicd_sessions_max" help:"Session admission bound."`
-	Shards      int  `json:"shards" metric:"svgicd_sessions_shards" help:"Hash-partitioned session shard count."`
 	session.Stats
-	PerShard []session.ShardStats `json:"perShard,omitempty" metric:",shard"`
 }
 
 // StoreStats is the durable-session-store slice of GET /v1/stats: WAL

@@ -27,7 +27,6 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // the httptest front once the store has written everything out:
 //
 //   - a store on SyncAlways with a short snapshot cadence (compactions);
-//   - one session shard, because random session ids pick the shard;
 //   - the objective "p50 solve < 100ms over 60s" on a ManualClock tracker,
 //     so route latencies are zero and only injected samples burn;
 //   - default solves twice (one cache hit), then per, then ip; injected
@@ -47,7 +46,7 @@ func goldenTraffic(t *testing.T) *httptest.Server {
 	t.Cleanup(func() { st.Close() })
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
-	mgr, err := session.NewManager(session.Options{Engine: eng, Shards: 1, Persister: st, SnapshotEvery: 8})
+	mgr, err := session.NewManager(session.Options{Engine: eng, Persister: st, SnapshotEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,9 @@ import (
 //     renders as 0 or 1); a family is a counter when its name ends in
 //     _total, and a gauge otherwise;
 //   - "family,key=value" adds a constant label;
-//   - on a map or a slice, "family,label" labels each element with its
-//     sorted key or its index; when the elements are structs the family is
-//     empty and the element's own tags name the families;
+//   - on a map, "family,label" labels each element with its sorted key;
+//     when the elements are structs the family is empty and the element's
+//     own tags name the families;
 //   - untagged struct fields, and non-nil pointers to structs, are walked
 //     in place; any other untagged field appears only in /v1/stats.
 //
@@ -110,10 +110,6 @@ func (e *exposition) walk(v reflect.Value, labels string) {
 			sort.Slice(keys, func(a, b int) bool { return keys[a].String() < keys[b].String() })
 			for _, k := range keys {
 				e.element(name, help, fv.MapIndex(k), withLabel(labels, label, k.String()))
-			}
-		case reflect.Slice:
-			for j := 0; j < fv.Len(); j++ {
-				e.element(name, help, fv.Index(j), withLabel(labels, label, strconv.Itoa(j)))
 			}
 		default:
 			if key, value, ok := strings.Cut(label, "="); ok {

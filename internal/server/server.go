@@ -678,9 +678,7 @@ func (s *Server) StatsSnapshot() StatsResponse {
 	resp.Sessions = SessionsStats{
 		Enabled:     true,
 		MaxSessions: s.mgr.MaxSessions(),
-		Shards:      s.mgr.Shards(),
 		Stats:       s.mgr.Stats(),
-		PerShard:    s.mgr.ShardStats(),
 	}
 	if s.opts.Store != nil {
 		resp.Store = &StoreStats{Enabled: true, Stats: s.opts.Store.Stats()}

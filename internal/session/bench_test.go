@@ -12,54 +12,51 @@ import (
 	"github.com/svgic/svgic/internal/engine"
 )
 
-// BenchmarkManagerSharded measures serving-path contention: W concurrent
-// workers hammering snapshot reads over a manager partitioned into S shards.
-// shards=1 reproduces the old single-lock manager exactly (one mutex in
-// front of one map), so each workers=W column is a direct single-lock vs
-// sharded comparison. GOMAXPROCS is raised to the worker count for the
-// duration of each sub-benchmark: RunParallel spawns GOMAXPROCS goroutines,
-// and the lock convoy under measurement only exists when that many OS
-// threads can actually interleave — without this, a 1-CPU CI runner would
-// silently serialize the workers and measure nothing.
-func BenchmarkManagerSharded(b *testing.B) {
+// BenchmarkManagerContention measures serving-path contention on the
+// session table: W concurrent workers hammering snapshot reads, each of
+// which takes the table lock for one map lookup and then the session's own
+// lock. GOMAXPROCS is raised to the worker count for the duration of each
+// sub-benchmark: RunParallel spawns GOMAXPROCS goroutines, and the lock
+// convoy under measurement only exists when that many OS threads can
+// actually interleave — without this, a 1-CPU CI runner would silently
+// serialize the workers and measure nothing.
+func BenchmarkManagerContention(b *testing.B) {
 	eng := engine.New(engine.Options{Workers: 2})
 	defer eng.Close()
-	for _, shards := range []int{1, 4, 8} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(workers)
-				defer runtime.GOMAXPROCS(prev)
-				m, err := NewManager(Options{Engine: eng, Shards: shards, MaxSessions: 4096})
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			prev := runtime.GOMAXPROCS(workers)
+			defer runtime.GOMAXPROCS(prev)
+			m, err := NewManager(Options{Engine: eng, MaxSessions: 4096})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			const nSessions = 128
+			ids := make([]string, nSessions)
+			for i := range ids {
+				snap, _, err := m.CreateWith(context.Background(), testInstance(uint64(i%8)), CreateSpec{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer m.Close()
-				const nSessions = 128
-				ids := make([]string, nSessions)
-				for i := range ids {
-					snap, _, err := m.CreateWith(context.Background(), testInstance(uint64(i%8)), CreateSpec{})
-					if err != nil {
-						b.Fatal(err)
+				ids[i] = snap.ID
+			}
+			var seq atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				// Distinct stride origin per worker, so workers walk the
+				// session pool out of phase instead of in lockstep on the
+				// same session.
+				i := int(seq.Add(1)) * 31
+				for pb.Next() {
+					i++
+					if _, err := m.Snapshot(ids[i%nSessions]); err != nil {
+						b.Error(err)
+						return
 					}
-					ids[i] = snap.ID
 				}
-				var seq atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					// Distinct stride origin per worker, so workers walk the
-					// session pool out of phase instead of in lockstep on the
-					// same shard.
-					i := int(seq.Add(1)) * 31
-					for pb.Next() {
-						i++
-						if _, err := m.Snapshot(ids[i%nSessions]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
 			})
-		}
+		})
 	}
 }
 

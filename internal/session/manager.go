@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,12 +36,6 @@ type Options struct {
 	// re-solves. Required; the manager does not own it — close the manager
 	// first, then the engine.
 	Engine *engine.Engine
-	// Shards is the number of hash-partitioned lock domains the session map
-	// is split over (see shard.go): session id → FNV-1a → shard, each shard
-	// an independent mutex plus a pinned owner goroutine for its eviction and
-	// repair. Zero means GOMAXPROCS — one shard per schedulable core; one
-	// reproduces the old single-lock manager exactly.
-	Shards int
 	// MaxSessions bounds concurrently live sessions; Create beyond the bound
 	// fails with ErrLimit. Zero means DefaultMaxSessions.
 	MaxSessions int
@@ -88,9 +81,8 @@ type Options struct {
 
 // Stats is a snapshot of the manager's counters, aggregated over all
 // sessions that ever lived (deleting a session does not erase its event
-// counts). Reading it is lock-free: Live is a single atomic and the rest
-// merge per-shard atomic counters, so stats scrapes never contend with the
-// serving path. The metric tags name svgicd's /metrics families.
+// counts). Live is the session table's size, read under the table lock; the
+// rest are atomic counters. The metric tags name svgicd's /metrics families.
 type Stats struct {
 	Live     int    `json:"live" metric:"svgicd_sessions_live" help:"Live sessions."`
 	Created  uint64 `json:"created" metric:"svgicd_sessions_created_total" help:"Sessions created."`
@@ -116,9 +108,14 @@ type Stats struct {
 	RepairCold  uint64 `json:"repairCold"`  // repair solves run cold
 }
 
-// Manager is the concurrency-safe registry of live sessions: a thin router
-// over hash-partitioned shards (see shard.go). Create with NewManager,
-// release with Close. All methods are safe for concurrent use.
+// Manager is the concurrency-safe registry of live sessions: one table of
+// sessions under one lock, plus one background goroutine for TTL eviction
+// and drift repair. Create with NewManager, release with Close. All methods
+// are safe for concurrent use.
+//
+// Lock rules: mu guards only the table and the closed flag. A session's own
+// lock is never taken while mu is held (EvictIdle and RepairAll copy the
+// session list first), and no solver call or Persister hook runs under mu.
 type Manager struct {
 	eng            *engine.Engine
 	maxSessions    int
@@ -131,33 +128,35 @@ type Manager struct {
 
 	now func() time.Time // test seam; time.Now in production
 
-	shards []*shard
+	mu       sync.Mutex
+	sessions map[string]*Session
+	closed   bool
 
-	// live is the global admission counter: a single atomic, because the
-	// MaxSessions bound must be reserved atomically across shards (summing
-	// per-shard counters cannot reserve). It also backs the lock-free Len.
-	live atomic.Int64
+	// minTTL is the tightest positive effective TTL (nanoseconds) carried by
+	// any session ever admitted; the loop derives its eviction cadence from
+	// it. wake nudges the loop to re-arm when a session with a tighter TTL
+	// override arrives (a manager with TTL zero starts with no eviction
+	// ticker at all — the first override session creates it).
+	minTTL atomic.Int64
+	wake   chan struct{}
 
-	idc      atomic.Uint64
-	rejected atomic.Uint64 // rejections have no session id, hence no shard
+	idc atomic.Uint64
 
 	// idRand supplies the random tail of session ids from an explicit seed
 	// (Options.Seed, or one drawn once from crypto/rand). idMu guards it:
-	// *rand.Rand is not concurrency-safe and id minting is cross-shard.
+	// *rand.Rand is not concurrency-safe.
 	idMu   sync.Mutex
 	idRand *rand.Rand
 
-	// repairSem bounds in-flight repair solves manager-wide; per-shard
-	// cycles share it (see repairShard).
+	// repairSem bounds in-flight repair solves manager-wide, so a manual
+	// RepairAll racing the loop's cycle cannot double the load.
 	repairSem chan struct{}
 
-	// closeMu guards the manager-level closed flag: the Create pre-gate joins
-	// the creating group under it, so Close (which sets closed under the same
-	// lock, then waits on the group) always waits out in-flight creates. The
-	// per-shard closed flags, set during Close's sweep, are the authoritative
-	// gate on every id-routed path.
-	closeMu   sync.Mutex
-	closed    bool
+	created, restored, rejected, evicted, deleted atomic.Uint64
+	events, joins, leaves, updates, rebals        atomic.Uint64
+	repRuns, repSwaps, repKeeps, repStale         atomic.Uint64
+	repErrors, repSkips, repWarm, repCold         atomic.Uint64
+
 	ctx       context.Context // canceled by Close; bounds repair solves
 	cancel    context.CancelFunc
 	done      chan struct{}
@@ -166,9 +165,8 @@ type Manager struct {
 	closeOnce sync.Once
 }
 
-// NewManager starts a session manager over an engine. Every shard gets a
-// pinned owner goroutine driving its eviction sweep and drift-repair cycle
-// until Close.
+// NewManager starts a session manager over an engine, with its background
+// goroutine driving the eviction sweep and drift-repair cycle until Close.
 func NewManager(opts Options) (*Manager, error) {
 	if opts.Engine == nil {
 		return nil, errors.New("session: Options.Engine is required")
@@ -183,6 +181,9 @@ func NewManager(opts Options) (*Manager, error) {
 		snapshotEvery:  opts.SnapshotEvery,
 		repairObserver: opts.RepairObserver,
 		now:            time.Now,
+		sessions:       make(map[string]*Session),
+		wake:           make(chan struct{}, 1),
+		repairSem:      make(chan struct{}, repairConcurrency),
 		done:           make(chan struct{}),
 	}
 	if m.snapshotEvery == 0 {
@@ -197,6 +198,9 @@ func NewManager(opts Options) (*Manager, error) {
 	if m.repairTimeout <= 0 {
 		m.repairTimeout = DefaultRepairTimeout
 	}
+	if m.ttl > 0 {
+		m.minTTL.Store(int64(m.ttl))
+	}
 	seed := opts.Seed
 	if seed == 0 {
 		var buf [8]byte
@@ -206,62 +210,29 @@ func NewManager(opts Options) (*Manager, error) {
 		seed = binary.LittleEndian.Uint64(buf[:])
 	}
 	m.idRand = rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	nshards := opts.Shards
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
-	m.shards = make([]*shard, nshards)
-	for i := range m.shards {
-		sh := &shard{
-			idx:      i,
-			sessions: make(map[string]*Session),
-			wake:     make(chan struct{}, 1),
-		}
-		if m.ttl > 0 {
-			sh.minTTL.Store(int64(m.ttl))
-		}
-		m.shards[i] = sh
-	}
-	m.repairSem = make(chan struct{}, repairConcurrency)
 	//lint:ignore ctxthread manager-lifecycle root context, canceled by Close; serving calls thread their own ctx and repair solves derive from this one so Close cancels them
 	m.ctx, m.cancel = context.WithCancel(context.Background())
-	m.wg.Add(nshards)
-	for _, sh := range m.shards {
-		go m.shardLoop(sh, opts.RepairInterval)
-	}
+	m.wg.Add(1)
+	go m.loop(opts.RepairInterval)
 	return m, nil
 }
 
-// shardOf routes an id to its owning shard.
-func (m *Manager) shardOf(id string) *shard {
-	return m.shards[ShardForID(id, len(m.shards))]
-}
-
-// Shards returns the number of hash-partitioned lock domains.
-func (m *Manager) Shards() int { return len(m.shards) }
-
-// Close stops the shard owner goroutines, cancels any in-flight repair solve
+// Close stops the background goroutine, cancels any in-flight repair solve
 // and closes every session. Idempotent. The engine stays open — it belongs
 // to the caller.
 func (m *Manager) Close() {
 	m.closeOnce.Do(func() {
-		m.closeMu.Lock()
+		m.mu.Lock()
 		m.closed = true
-		m.closeMu.Unlock()
-		var victims []*Session
-		for _, sh := range m.shards {
-			sh.mu.Lock()
-			sh.closed = true
-			for _, s := range sh.sessions {
-				victims = append(victims, s)
-			}
-			sh.sessions = make(map[string]*Session)
-			sh.live.Store(0)
-			sh.mu.Unlock()
+		victims := make([]*Session, 0, len(m.sessions))
+		for _, s := range m.sessions {
+			victims = append(victims, s)
 		}
+		clear(m.sessions)
+		m.mu.Unlock()
 		m.cancel()
-		// Wait out in-flight creates: each either inserted before its shard
-		// was swept (its session is among the victims) or will fail the
+		// Wait out in-flight creates: each either inserted before the table
+		// was emptied (its session is among the victims) or will fail the
 		// insert re-check and tombstone its creation image — both must
 		// finish before the caller may close the persister's store.
 		m.creating.Wait()
@@ -273,7 +244,6 @@ func (m *Manager) Close() {
 			// persist ops still flush).
 			s.close("")
 		}
-		m.live.Store(0)
 	})
 }
 
@@ -330,22 +300,22 @@ func (m *Manager) CreateWith(ctx context.Context, in *core.Instance, spec Create
 	// waits out this call — otherwise a create's persisted creation image
 	// could land before Store.Close while its abort tombstone lands after,
 	// and the next restart would recover a session no client was ever told
-	// about.
-	m.closeMu.Lock()
+	// about. The admission check here is advisory — it only saves a solve
+	// for a session that cannot be registered; the binding check is at
+	// insert.
+	m.mu.Lock()
 	if m.closed {
-		m.closeMu.Unlock()
+		m.mu.Unlock()
 		return Snapshot{}, nil, ErrClosed
 	}
-	m.creating.Add(1)
-	m.closeMu.Unlock()
-	defer m.creating.Done()
-
-	// Cheap pre-admission: don't burn a solve for a session that cannot be
-	// registered. Advisory only — the binding reservation happens at insert.
-	if m.live.Load() >= int64(m.maxSessions) {
+	if len(m.sessions) >= m.maxSessions {
+		m.mu.Unlock()
 		m.rejected.Add(1)
 		return Snapshot{}, nil, ErrLimit
 	}
+	m.creating.Add(1)
+	m.mu.Unlock()
+	defer m.creating.Done()
 
 	sol, err := m.solveWith(ctx, in, spec.Solver)
 	if err != nil {
@@ -372,18 +342,15 @@ func (m *Manager) CreateWith(ctx context.Context, in *core.Instance, spec Create
 	}
 	// Mint an id free of collisions. Minted ids carry a random tail and a
 	// monotone sequence (so two racing creates can never mint the same one);
-	// the map check guards against colliding with a session RESTORED from a
-	// previous process epoch, whose log a reused id would silently fuse with.
-	// Restores all happen before serving starts, so an id checked free here
-	// is still free at insert below. Each candidate id is checked only on
-	// the shard it routes to — where it would live.
-	var sh *shard
+	// the table check guards against colliding with a session RESTORED from
+	// a previous process epoch, whose log a reused id would silently fuse
+	// with. Restores all happen before serving starts, so an id checked free
+	// here is still free at insert below.
 	for {
 		s.id = m.newID()
-		sh = m.shardOf(s.id)
-		sh.mu.Lock()
-		_, taken := sh.sessions[s.id]
-		sh.mu.Unlock()
+		m.mu.Lock()
+		_, taken := m.sessions[s.id]
+		m.mu.Unlock()
 		if !taken {
 			break
 		}
@@ -400,46 +367,63 @@ func (m *Manager) CreateWith(ctx context.Context, in *core.Instance, spec Create
 			m.persister.SessionEnded(s.id, EndDeleted)
 		}
 	}
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
 		abort()
 		return Snapshot{}, nil, ErrClosed
 	}
-	// The binding admission check: reserve a slot in the global live count,
-	// give it back if that overshot the bound. A single atomic reserves
-	// across all shards without any cross-shard lock.
-	if m.live.Add(1) > int64(m.maxSessions) {
-		m.live.Add(-1)
-		sh.mu.Unlock()
+	if len(m.sessions) >= m.maxSessions {
+		m.mu.Unlock()
 		m.rejected.Add(1)
 		abort()
 		return Snapshot{}, nil, ErrLimit
 	}
-	sh.sessions[s.id] = s
-	sh.live.Add(1)
-	sh.mu.Unlock()
-	sh.created.Add(1)
-	sh.noteTTL(spec.TTL)
+	m.sessions[s.id] = s
+	m.mu.Unlock()
+	m.created.Add(1)
+	m.noteTTL(spec.TTL)
 	snap, err := s.snapshot(now, false)
 	return snap, sol, err
 }
 
+// get looks a session up. ErrClosed once Close has begun; ErrNotFound for
+// ids never created, deleted or evicted.
 func (m *Manager) get(id string) (*Session, error) {
-	return m.shardOf(id).get(id)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil, ErrClosed
+	}
+	s, ok := m.sessions[id]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return s, nil
 }
 
 // Apply runs an event batch against a session, serialized with every other
 // batch and drift-repair swap on that session. See Session.apply for batch
 // semantics.
 func (m *Manager) Apply(id string, events []Event) (ApplyResult, error) {
-	sh := m.shardOf(id)
-	s, err := sh.get(id)
+	s, err := m.get(id)
 	if err != nil {
 		return ApplyResult{}, err
 	}
 	res, err := s.apply(m.now(), events)
-	sh.countEvents(res.Results)
+	for _, r := range res.Results {
+		m.events.Add(1)
+		switch r.Type {
+		case EventJoin:
+			m.joins.Add(1)
+		case EventLeave:
+			m.leaves.Add(1)
+		case EventUpdatePreference:
+			m.updates.Add(1)
+		case EventRebalance:
+			m.rebals.Add(1)
+		}
+	}
 	return res, err
 }
 
@@ -456,23 +440,18 @@ func (m *Manager) Snapshot(id string) (Snapshot, error) {
 // Delete removes a session. Idempotent at the HTTP layer's discretion — a
 // second delete returns ErrNotFound.
 func (m *Manager) Delete(id string) error {
-	sh := m.shardOf(id)
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
 		return ErrClosed
 	}
-	s, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-		sh.live.Add(-1)
-		m.live.Add(-1)
-	}
-	sh.mu.Unlock()
+	s, ok := m.sessions[id]
+	delete(m.sessions, id)
+	m.mu.Unlock()
 	if !ok {
 		return ErrNotFound
 	}
-	sh.deleted.Add(1)
+	m.deleted.Add(1)
 	s.close(EndDeleted)
 	return nil
 }
@@ -480,22 +459,178 @@ func (m *Manager) Delete(id string) error {
 // MaxSessions returns the admission bound on live sessions.
 func (m *Manager) MaxSessions() int { return m.maxSessions }
 
-// Len returns the number of live sessions. Lock-free: it reads the global
-// admission counter, never a shard lock.
+// Len returns the number of live sessions.
 func (m *Manager) Len() int {
-	return int(m.live.Load())
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.sessions)
 }
 
-// EvictIdle sweeps every shard for sessions idle longer than their effective
-// TTL, returning how many were evicted. The shard owner goroutines call the
-// per-shard sweep periodically; this whole-manager form is exported for
-// tests and manual sweeps.
-func (m *Manager) EvictIdle() int {
-	n := 0
-	for _, sh := range m.shards {
-		n += m.evictShard(sh)
+// list copies the table's sessions, so sweeps can take each session's lock
+// without holding the table lock. Nil once the manager is closed.
+func (m *Manager) list() []*Session {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil
 	}
-	return n
+	out := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		out = append(out, s)
+	}
+	return out
+}
+
+// noteTTL records a session's positive effective TTL and wakes the loop when
+// it tightens the minimum, so the eviction cadence follows the tightest TTL
+// actually present instead of only the manager default.
+func (m *Manager) noteTTL(ttl time.Duration) {
+	if ttl <= 0 {
+		return
+	}
+	for {
+		cur := m.minTTL.Load()
+		if cur > 0 && cur <= int64(ttl) {
+			return
+		}
+		if m.minTTL.CompareAndSwap(cur, int64(ttl)) {
+			select {
+			case m.wake <- struct{}{}:
+			default: // a wake is already pending; the loop re-reads minTTL
+			}
+			return
+		}
+	}
+}
+
+// loop is the manager's background goroutine: it schedules the drift-repair
+// cycles and TTL eviction sweeps. The eviction ticker is created lazily from
+// the observed minimum TTL (a quarter of it, floored at 10ms) and tightened —
+// never loosened — when a shorter-TTL session arrives; a manager with no TTL
+// anywhere runs no eviction ticker at all. Repair cycles run off the loop
+// goroutine so a slow cycle (many sessions × solve time) never starves
+// eviction ticks; a tick that arrives while the previous cycle is still
+// running is skipped rather than queued.
+func (m *Manager) loop(repairInterval time.Duration) {
+	defer m.wg.Done()
+	var repairC <-chan time.Time
+	if repairInterval > 0 {
+		t := time.NewTicker(repairInterval)
+		defer t.Stop()
+		repairC = t.C
+	}
+	var (
+		evictT  *time.Ticker
+		evictC  <-chan time.Time
+		evictIv time.Duration
+	)
+	defer func() {
+		if evictT != nil {
+			evictT.Stop()
+		}
+	}()
+	rearm := func() {
+		ttl := time.Duration(m.minTTL.Load())
+		if ttl <= 0 {
+			return
+		}
+		iv := ttl / 4
+		if iv < 10*time.Millisecond {
+			iv = 10 * time.Millisecond
+		}
+		switch {
+		case evictT == nil:
+			evictT = time.NewTicker(iv)
+			evictC = evictT.C
+			evictIv = iv
+		case iv < evictIv:
+			evictT.Reset(iv)
+			evictIv = iv
+		}
+	}
+	rearm()
+	repairing := make(chan struct{}, 1)
+	for {
+		select {
+		case <-m.done:
+			return
+		case <-repairC:
+			select {
+			case repairing <- struct{}{}:
+				m.wg.Add(1)
+				go func() {
+					defer m.wg.Done()
+					defer func() { <-repairing }()
+					m.RepairAll(m.ctx)
+				}()
+			default: // previous cycle still in flight
+			}
+		case <-m.wake:
+			rearm()
+		case <-evictC:
+			m.EvictIdle()
+		}
+	}
+}
+
+// EvictIdle removes the sessions idle longer than their effective TTL (the
+// session's own override when set, the manager default otherwise), returning
+// how many were evicted. The background loop calls it periodically; it is
+// exported for tests and manual sweeps.
+//
+// Session locks are never taken while holding the table lock: a sweep
+// blocking on one session's long event batch under m.mu would stall every
+// operation. Idleness is checked lock-by-lock on a copy of the table;
+// confirmed candidates are then removed under m.mu by identity alone. A
+// session touched in the narrow window between its idleness check and
+// removal can be evicted anyway — it had been idle for a full TTL moments
+// earlier, which is within the eviction contract — and an event batch
+// already in flight on a victim completes normally before close() lands.
+func (m *Manager) EvictIdle() int {
+	now := m.now()
+	var candidates []*Session
+	for _, s := range m.list() {
+		ttl := s.ttl // immutable after publication
+		if ttl <= 0 {
+			ttl = m.ttl
+		}
+		if ttl <= 0 {
+			continue // never evicted
+		}
+		cutoff := now.Add(-ttl)
+		s.mu.Lock()
+		idle := !s.closed && s.lastTouch.Before(cutoff)
+		s.mu.Unlock()
+		if idle {
+			candidates = append(candidates, s)
+		}
+	}
+	if len(candidates) == 0 {
+		return 0
+	}
+
+	var victims []*Session
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return 0
+	}
+	for _, s := range candidates {
+		if m.sessions[s.id] != s {
+			continue // deleted or replaced meanwhile
+		}
+		delete(m.sessions, s.id)
+		victims = append(victims, s)
+	}
+	m.mu.Unlock()
+	for _, s := range victims {
+		// The eviction tombstone is part of the eviction, not an
+		// afterthought: a TTL-evicted id whose WAL survived a restart would
+		// resurrect as a live session the client believed gone.
+		s.close(EndEvicted)
+		m.evicted.Add(1)
+	}
+	return len(victims)
 }
 
 // repairConcurrency bounds how many repair solves are in flight at once
@@ -503,30 +638,33 @@ func (m *Manager) EvictIdle() int {
 // large session count cannot flood it and starve interactive solves.
 const repairConcurrency = 4
 
-// RepairAll runs one drift-repair cycle over every live session — all shards
-// in parallel, solve concurrency bounded by the manager-wide semaphore — and
-// returns when the whole cycle is done. The shard owner goroutines trigger
-// per-shard cycles on RepairInterval; this whole-manager form is exported
-// for tests and manual cycles. The context bounds the cycle.
+// RepairAll runs one drift-repair cycle over every live session, with solve
+// concurrency bounded by the manager-wide semaphore, and returns when the
+// whole cycle is done. The background loop triggers it on RepairInterval;
+// it is exported for tests and manual cycles. The context bounds the cycle.
 func (m *Manager) RepairAll(ctx context.Context) {
 	var wg sync.WaitGroup
-	for _, sh := range m.shards {
+	for _, s := range m.list() {
+		if ctx.Err() != nil {
+			break
+		}
+		m.repairSem <- struct{}{}
 		wg.Add(1)
-		go func(sh *shard) {
+		go func(s *Session) {
 			defer wg.Done()
-			m.repairShard(ctx, sh)
-		}(sh)
+			defer func() { <-m.repairSem }()
+			m.repairOne(ctx, s)
+		}(s)
 	}
 	wg.Wait()
 }
 
-// repairOne runs one drift-repair cycle for one session, attributing the
-// outcome to the session's owning shard. A session whose version has not
-// moved since its last completed cycle is skipped outright — no clone, no
-// solve. Otherwise the cycle routes to the dirty-component delta path
-// (uncapped sessions whose solver decomposes safely) or falls back to the
-// whole-instance re-solve.
-func (m *Manager) repairOne(ctx context.Context, sh *shard, s *Session) {
+// repairOne runs one drift-repair cycle for one session. A session whose
+// version has not moved since its last completed cycle is skipped outright —
+// no clone, no solve. Otherwise the cycle routes to the dirty-component
+// delta path (uncapped sessions whose solver decomposes safely) or falls
+// back to the whole-instance re-solve.
+func (m *Manager) repairOne(ctx context.Context, s *Session) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -534,7 +672,7 @@ func (m *Manager) repairOne(ctx context.Context, sh *shard, s *Session) {
 	}
 	if s.lastRepair == s.version {
 		s.repairSkips++
-		sh.repSkips.Add(1)
+		m.repSkips.Add(1)
 		s.mu.Unlock()
 		return
 	}
@@ -554,11 +692,11 @@ func (m *Manager) repairOne(ctx context.Context, sh *shard, s *Session) {
 	}
 	s.mu.Unlock()
 	start := m.now()
-	if deltaOK && m.repairDelta(ctx, sh, s, base) {
+	if deltaOK && m.repairDelta(ctx, s, base) {
 		m.observeRepair(start)
 		return
 	}
-	m.repairWhole(ctx, sh, s, base)
+	m.repairWhole(ctx, s, base)
 	m.observeRepair(start)
 }
 
@@ -576,7 +714,7 @@ func (m *Manager) observeRepair(start time.Time) {
 // rows onto the live configuration. Reports true when it completed the cycle
 // (including skips and errors); false means the caller should fall back to a
 // whole-instance repair.
-func (m *Manager) repairDelta(ctx context.Context, sh *shard, s *Session, base core.Solver) bool {
+func (m *Manager) repairDelta(ctx context.Context, s *Session, base core.Solver) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -590,7 +728,7 @@ func (m *Manager) repairDelta(ctx context.Context, sh *shard, s *Session, base c
 		// a skip so the next one is free too.
 		s.lastRepair = s.version
 		s.repairSkips++
-		sh.repSkips.Add(1)
+		m.repSkips.Add(1)
 		s.mu.Unlock()
 		return true
 	}
@@ -633,14 +771,14 @@ func (m *Manager) repairDelta(ctx context.Context, sh *shard, s *Session, base c
 	}
 	s.mu.Unlock()
 
-	sh.repRuns.Add(1)
-	sh.repWarm.Add(uint64(warmed))
-	sh.repCold.Add(uint64(len(dirty) - warmed))
+	m.repRuns.Add(1)
+	m.repWarm.Add(uint64(warmed))
+	m.repCold.Add(uint64(len(dirty) - warmed))
 	sctx, cancel := context.WithTimeout(ctx, m.repairTimeout)
 	sols, err := m.eng.SolveBatchEach(sctx, ins, solvers)
 	cancel()
 	if err != nil {
-		sh.repErrors.Add(1)
+		m.repErrors.Add(1)
 		return true
 	}
 	// The merged objective moves by exactly the per-component improvements:
@@ -653,76 +791,22 @@ func (m *Manager) repairDelta(ctx context.Context, sh *shard, s *Session, base c
 		merged += sol.Report.Weighted() - incs[i]
 		confs[i] = sol.Config
 	}
-	threshold := current * (1 + m.repairMargin)
-	if m.repairMargin < 0 {
-		threshold = current
-	}
-
-	s.mu.Lock()
-	swapped := false
-	func() {
-		defer s.mu.Unlock()
-		if s.closed {
-			return
-		}
-		if s.version != version {
-			s.repairStale++
-			sh.repStale.Add(1)
-			return
-		}
-		if merged > threshold {
-			overlay := core.OverlayConfiguration(s.ds.Config(), confs, origs)
-			if err := s.ds.Adopt(overlay); err != nil {
-				// Cannot happen for rows solved on sub-instances of this very
-				// instance; account it rather than crash the loop.
-				sh.repErrors.Add(1)
-				return
-			}
-			s.ds.ClearDirty()
-			s.value = s.ds.Value()
-			s.version++
-			s.lastRepair = s.version
-			s.repairSwaps++
-			sh.repSwaps.Add(1)
-			swapped = true
-			if s.persist != nil {
-				// The swap is a state transition like any event batch: log the
-				// overlaid configuration (Adopt deep-cloned it, so this is the
-				// only live reference) so WAL replay lands on the exact served
-				// configuration, not just the same value.
-				s.outbox = append(s.outbox, persistOp{
-					kind:  opAdopt,
-					conf:  overlay,
-					from:  version,
-					to:    s.version,
-					value: s.value,
-				})
-				s.sinceSnapshot++
-				s.maybeSnapshotLocked()
-			}
-			return
-		}
-		s.ds.ClearDirty()
-		s.lastRepair = s.version
-		s.repairKeeps++
-		sh.repKeeps.Add(1)
-	}()
-	if swapped {
-		s.drainOutbox()
-	}
+	// The overlay is built from the live configuration, after commitRepair's
+	// version check has proved it is the one the sub-solves started from.
+	m.commitRepair(s, version, current, merged, func() *core.Configuration {
+		return core.OverlayConfiguration(s.ds.Config(), confs, origs)
+	})
 	return true
 }
 
 // repairWhole re-solves one session's current instance through the engine and
 // swaps the result in when it beats the incremental configuration by the
 // margin. The snapshot is taken under the session lock but the solve runs
-// outside it, so event application never blocks on a re-solve; if events
-// advanced the session meanwhile, the (now stale) solution is discarded
-// rather than clobbering state it never saw. When the session's solver can
-// warm-start, the re-solve is seeded from the incumbent configuration and run
-// uncached (a warm result depends on the incumbent, so it must never enter
-// the engine's keyed cache).
-func (m *Manager) repairWhole(ctx context.Context, sh *shard, s *Session, base core.Solver) {
+// outside it, so event application never blocks on a re-solve. When the
+// session's solver can warm-start, the re-solve is seeded from the incumbent
+// configuration and run uncached (a warm result depends on the incumbent, so
+// it must never enter the engine's keyed cache).
+func (m *Manager) repairWhole(ctx context.Context, s *Session, base core.Solver) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -740,125 +824,117 @@ func (m *Manager) repairWhole(ctx context.Context, sh *shard, s *Session, base c
 	}
 	s.mu.Unlock()
 
-	sh.repRuns.Add(1)
+	m.repRuns.Add(1)
 	if warm {
-		sh.repWarm.Add(1)
+		m.repWarm.Add(1)
 	} else {
-		sh.repCold.Add(1)
+		m.repCold.Add(1)
 	}
 	sctx, cancel := context.WithTimeout(ctx, m.repairTimeout)
 	sol, err := m.solveWith(sctx, snap, solver)
 	cancel()
 	if err != nil {
-		sh.repErrors.Add(1)
+		m.repErrors.Add(1)
 		return
 	}
-	resolved := sol.Report.Weighted()
+	// The engine returns a private Solution (cache hits and fills clone), so
+	// its configuration can be adopted and logged as is.
+	m.commitRepair(s, version, current, sol.Report.Weighted(), func() *core.Configuration {
+		return sol.Config
+	})
+}
+
+// commitRepair is the last step of every repair cycle, under the session
+// lock. A result is discarded as stale if events advanced the session past
+// version while it was solved; it is kept out unless resolved beats current
+// by the margin; otherwise build's configuration is adopted and logged as a
+// state transition like any event batch, so WAL replay lands on the exact
+// served configuration, not just the same value. build runs under the
+// session lock and must return a configuration nothing else references
+// (Adopt deep-clones it; the log keeps it).
+func (m *Manager) commitRepair(s *Session, version uint64, current, resolved float64, build func() *core.Configuration) {
 	threshold := current * (1 + m.repairMargin)
 	if m.repairMargin < 0 {
 		threshold = current
 	}
-
 	s.mu.Lock()
-	swapped := false
-	func() {
+	swapped := func() bool {
 		defer s.mu.Unlock()
 		if s.closed {
-			return
+			return false
 		}
 		if s.version != version {
 			s.repairStale++
-			sh.repStale.Add(1)
-			return
-		}
-		// A capped session never adopts a configuration that violates its
-		// bound, whatever the solver produced — the cap is the session's
-		// contract, better objective or not. (The serving layer already rejects
-		// cap-incapable solvers at create; this holds the invariant for
-		// library-constructed sessions too.)
-		if cap := s.ds.SizeCap(); cap > 0 && sol.Config.MaxSubgroupSize() > cap {
-			s.ds.ClearDirty()
-			s.lastRepair = s.version
-			s.repairKeeps++
-			sh.repKeeps.Add(1)
-			return
+			m.repStale.Add(1)
+			return false
 		}
 		if resolved > threshold {
-			if err := s.ds.Adopt(sol.Config); err != nil {
-				// Cannot happen for a solution solved on a clone of this very
-				// instance; account it rather than crash the loop.
-				sh.repErrors.Add(1)
-				return
+			conf := build()
+			// A capped session never adopts a configuration that violates
+			// its bound, whatever the solver produced — the cap is the
+			// session's contract, better objective or not. (The serving
+			// layer already rejects cap-incapable solvers at create; this
+			// holds the invariant for library-constructed sessions too.)
+			if cap := s.ds.SizeCap(); cap == 0 || conf.MaxSubgroupSize() <= cap {
+				if err := s.ds.Adopt(conf); err != nil {
+					// Cannot happen for rows solved on this very instance;
+					// account it rather than crash the loop.
+					m.repErrors.Add(1)
+					return false
+				}
+				s.ds.ClearDirty()
+				s.value = s.ds.Value()
+				s.version++
+				s.lastRepair = s.version
+				s.repairSwaps++
+				m.repSwaps.Add(1)
+				if s.persist != nil {
+					s.outbox = append(s.outbox, persistOp{
+						kind:  opAdopt,
+						conf:  conf,
+						from:  version,
+						to:    s.version,
+						value: s.value,
+					})
+					s.sinceSnapshot++
+					s.maybeSnapshotLocked()
+				}
+				return true
 			}
-			s.ds.ClearDirty()
-			s.value = s.ds.Value()
-			s.version++
-			s.lastRepair = s.version
-			s.repairSwaps++
-			sh.repSwaps.Add(1)
-			swapped = true
-			if s.persist != nil {
-				// The swap is a state transition like any event batch: log it
-				// (the adopted configuration travels as a deep clone — the
-				// Solution may live in the engine cache) so WAL replay lands
-				// on the exact served configuration, not just the same value.
-				s.outbox = append(s.outbox, persistOp{
-					kind:  opAdopt,
-					conf:  sol.Config.Clone(),
-					from:  version,
-					to:    s.version,
-					value: s.value,
-				})
-				s.sinceSnapshot++
-				s.maybeSnapshotLocked()
-			}
-			return
 		}
 		s.ds.ClearDirty()
 		s.lastRepair = s.version
 		s.repairKeeps++
-		sh.repKeeps.Add(1)
+		m.repKeeps.Add(1)
+		return false
 	}()
 	if swapped {
 		s.drainOutbox()
 	}
 }
 
-// Stats returns a point-in-time snapshot of the manager's counters, merged
-// over the shards. Lock-free: every field is an atomic read.
+// Stats returns a point-in-time snapshot of the manager's counters. It
+// takes the table lock only to read Live.
 func (m *Manager) Stats() Stats {
-	st := Stats{
-		Live:     int(m.live.Load()),
-		Rejected: m.rejected.Load(),
+	return Stats{
+		Live:          m.Len(),
+		Created:       m.created.Load(),
+		Restored:      m.restored.Load(),
+		Rejected:      m.rejected.Load(),
+		Evicted:       m.evicted.Load(),
+		Deleted:       m.deleted.Load(),
+		EventsApplied: m.events.Load(),
+		Joins:         m.joins.Load(),
+		Leaves:        m.leaves.Load(),
+		Updates:       m.updates.Load(),
+		Rebalances:    m.rebals.Load(),
+		RepairRuns:    m.repRuns.Load(),
+		RepairSwaps:   m.repSwaps.Load(),
+		RepairKeeps:   m.repKeeps.Load(),
+		RepairStale:   m.repStale.Load(),
+		RepairErrors:  m.repErrors.Load(),
+		RepairSkips:   m.repSkips.Load(),
+		RepairWarm:    m.repWarm.Load(),
+		RepairCold:    m.repCold.Load(),
 	}
-	for _, sh := range m.shards {
-		st.Created += sh.created.Load()
-		st.Restored += sh.restored.Load()
-		st.Evicted += sh.evicted.Load()
-		st.Deleted += sh.deleted.Load()
-		st.EventsApplied += sh.events.Load()
-		st.Joins += sh.joins.Load()
-		st.Leaves += sh.leaves.Load()
-		st.Updates += sh.updates.Load()
-		st.Rebalances += sh.rebals.Load()
-		st.RepairRuns += sh.repRuns.Load()
-		st.RepairSwaps += sh.repSwaps.Load()
-		st.RepairKeeps += sh.repKeeps.Load()
-		st.RepairStale += sh.repStale.Load()
-		st.RepairErrors += sh.repErrors.Load()
-		st.RepairSkips += sh.repSkips.Load()
-		st.RepairWarm += sh.repWarm.Load()
-		st.RepairCold += sh.repCold.Load()
-	}
-	return st
-}
-
-// ShardStats returns every shard's counter slice, in shard order — the raw
-// material for imbalance and hot-shard monitoring. Lock-free.
-func (m *Manager) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(m.shards))
-	for i, sh := range m.shards {
-		out[i] = sh.stats()
-	}
-	return out
 }

@@ -4,63 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestShardForIDDeterminism: the routing is canonical FNV-1a over the id
-// bytes — a pure, process-independent function, so a session restored after
-// a restart lands on the shard that will serve it. Asserted against the
-// stdlib FNV-1a, not a second copy of our own arithmetic.
-func TestShardForIDDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for n := 0; n < 1000; n++ {
-		id := fmt.Sprintf("s%06d-%08x", n, rng.Uint32())
-		for _, shards := range []int{1, 2, 4, 8, 16} {
-			h := fnv.New32a()
-			h.Write([]byte(id))
-			want := int(h.Sum32() % uint32(shards))
-			if got := ShardForID(id, shards); got != want {
-				t.Fatalf("ShardForID(%q, %d) = %d, canonical FNV-1a says %d", id, shards, got, want)
-			}
-			if again := ShardForID(id, shards); again != want {
-				t.Fatalf("ShardForID(%q, %d) not stable: %d then %d", id, shards, want, again)
-			}
-		}
-	}
-}
-
-// TestShardDistribution: 10k ids in the manager's own id format spread
-// within ±20% of uniform over 8 shards — the partition cannot concentrate
-// load on a hot shard.
-func TestShardDistribution(t *testing.T) {
-	const (
-		shards = 8
-		n      = 10000
-	)
-	rng := rand.New(rand.NewPCG(7, 11))
-	counts := make([]int, shards)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("s%06d-%08x", i+1, rng.Uint32())
-		counts[ShardForID(id, shards)]++
-	}
-	uniform := float64(n) / shards
-	for i, c := range counts {
-		if dev := float64(c)/uniform - 1; dev > 0.20 || dev < -0.20 {
-			t.Errorf("shard %d holds %d ids, %+.1f%% off uniform %g (counts %v)", i, c, 100*dev, uniform, counts)
-		}
-	}
-}
-
-// TestRestoreRoutesToOwningShard: Restore installs the session into the
-// shard its id hashes to, not wherever is convenient — the invariant that
-// makes per-shard eviction and repair see every session exactly once after
-// a crash.
-func TestRestoreRoutesToOwningShard(t *testing.T) {
+// TestRestoreKeepsTTLOverride: a session's TTL override travels in its
+// durable image, and Restore installs the session with that override, served
+// and counted by the new manager.
+func TestRestoreKeepsTTLOverride(t *testing.T) {
 	src, eng := newTestManager(t, Options{})
 	snap, _, err := src.CreateWith(context.Background(), testInstance(61), CreateSpec{TTL: time.Hour})
 	if err != nil {
@@ -74,19 +27,12 @@ func TestRestoreRoutesToOwningShard(t *testing.T) {
 	st := s.stateLocked()
 	s.mu.Unlock()
 
-	dst, _ := newTestManager(t, Options{Engine: eng, Shards: 8})
+	dst, _ := newTestManager(t, Options{Engine: eng})
 	if _, err := dst.Restore(st, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	owner := dst.shardOf(st.ID)
-	owner.mu.Lock()
-	_, onOwner := owner.sessions[st.ID]
-	owner.mu.Unlock()
-	if !onOwner {
-		t.Fatalf("restored session %s not on its owning shard %d", st.ID, owner.idx)
-	}
-	if got := dst.shards[owner.idx].restored.Load(); got != 1 {
-		t.Fatalf("owning shard restored counter = %d, want 1", got)
+	if got := dst.Stats(); got.Restored != 1 || got.Live != 1 {
+		t.Fatalf("stats after restore: %+v, want restored 1 and live 1", got)
 	}
 	if st.TTL != time.Hour {
 		t.Fatalf("TTL override lost from durable state: %v", st.TTL)
@@ -98,13 +44,16 @@ func TestRestoreRoutesToOwningShard(t *testing.T) {
 	if restored.ttl != time.Hour {
 		t.Fatalf("restored session ttl = %v, want 1h", restored.ttl)
 	}
+	if got := time.Duration(dst.minTTL.Load()); got != time.Hour {
+		t.Fatalf("restored override did not arm the sweep: minTTL = %v, want 1h", got)
+	}
 }
 
 // TestPerSessionTTLOverride: a CreateSpec.TTL session is evicted after ITS
 // idle bound even on a manager whose global TTL is zero, and a session
 // without the override on the same manager is never evicted.
 func TestPerSessionTTLOverride(t *testing.T) {
-	m, _ := newTestManager(t, Options{Shards: 4})
+	m, _ := newTestManager(t, Options{})
 	base := time.Now()
 	m.now = func() time.Time { return base }
 	ctx := context.Background()
@@ -132,11 +81,11 @@ func TestPerSessionTTLOverride(t *testing.T) {
 	}
 }
 
-// TestTTLOverrideArmsShardSweep: creating a short-TTL session on a manager
-// with no global TTL wakes the owning shard's goroutine into running the
-// eviction sweep — no manual EvictIdle call anywhere.
-func TestTTLOverrideArmsShardSweep(t *testing.T) {
-	m, _ := newTestManager(t, Options{Shards: 2})
+// TestTTLOverrideArmsSweep: creating a short-TTL session on a manager with
+// no global TTL wakes the manager's goroutine into running the eviction
+// sweep — no manual EvictIdle call anywhere.
+func TestTTLOverrideArmsSweep(t *testing.T) {
+	m, _ := newTestManager(t, Options{})
 	snap, _, err := m.CreateWith(context.Background(), testInstance(64), CreateSpec{TTL: 40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -144,72 +93,41 @@ func TestTTLOverrideArmsShardSweep(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if _, err := m.Snapshot(snap.ID); errors.Is(err, ErrNotFound) {
-			return // evicted by the shard's own sweep
+			return // evicted by the manager's own sweep
 		}
 		// NOT polling via Snapshot alone — a read refreshes the idle clock,
 		// so back off well past the TTL between probes.
 		time.Sleep(60 * time.Millisecond)
 	}
-	t.Fatal("session with a 40ms TTL override never evicted by the shard sweep")
+	t.Fatal("session with a 40ms TTL override never evicted by the background sweep")
 }
 
-// TestShardStatsMergeToManagerStats: the per-shard counter slices sum to
-// the merged Stats, and live counts agree between the global atomic and the
-// per-shard ones — no counter is dropped or double-attributed by sharding.
-func TestShardStatsMergeToManagerStats(t *testing.T) {
-	m, _ := newTestManager(t, Options{Shards: 4})
+// TestLifecycleStress: concurrent create / apply / snapshot / delete /
+// restore / evict / stats on one manager, run under -race in CI. A
+// sequential warm-up first pins the counters to exact values; the
+// assertions at the end are conservation laws: every session ever admitted
+// is exactly one of live, deleted, evicted or closed with the manager.
+func TestLifecycleStress(t *testing.T) {
+	m, eng := newTestManager(t, Options{MaxSessions: 256})
 	ctx := context.Background()
-	var ids []string
+
+	var warm []string
 	for i := 0; i < 12; i++ {
 		snap, _, err := m.CreateWith(ctx, testInstance(uint64(70+i)), CreateSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, snap.ID)
+		warm = append(warm, snap.ID)
 		if _, err := m.Apply(snap.ID, []Event{{Type: EventRebalance}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Delete(ids[0]); err != nil {
+	if err := m.Delete(warm[0]); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	per := m.ShardStats()
-	if len(per) != 4 || m.Shards() != 4 {
-		t.Fatalf("shard count: len(per)=%d Shards()=%d, want 4", len(per), m.Shards())
+	if st := m.Stats(); st.Created != 12 || st.Deleted != 1 || st.EventsApplied != 12 || st.Live != 11 || st.Live != m.Len() {
+		t.Fatalf("warm-up stats %+v (Len %d), want created 12, deleted 1, eventsApplied 12, live 11 == Len", st, m.Len())
 	}
-	var sum ShardStats
-	for i, sp := range per {
-		if sp.Shard != i {
-			t.Fatalf("shard slice %d claims index %d", i, sp.Shard)
-		}
-		sum.Live += sp.Live
-		sum.Created += sp.Created
-		sum.Deleted += sp.Deleted
-		sum.EventsApplied += sp.EventsApplied
-	}
-	if sum.Live != st.Live || st.Live != m.Len() {
-		t.Fatalf("live mismatch: per-shard %d, merged %d, Len %d", sum.Live, st.Live, m.Len())
-	}
-	if sum.Created != st.Created || sum.Created != 12 {
-		t.Fatalf("created mismatch: per-shard %d, merged %d, want 12", sum.Created, st.Created)
-	}
-	if sum.Deleted != st.Deleted || sum.Deleted != 1 {
-		t.Fatalf("deleted mismatch: per-shard %d, merged %d, want 1", sum.Deleted, st.Deleted)
-	}
-	if sum.EventsApplied != st.EventsApplied || sum.EventsApplied != 12 {
-		t.Fatalf("events mismatch: per-shard %d, merged %d, want 12", sum.EventsApplied, st.EventsApplied)
-	}
-}
-
-// TestCrossShardStress: concurrent create / apply / snapshot / delete /
-// restore / evict / stats across every shard of a small-shard manager, run
-// under -race in CI. The assertions at the end are conservation laws: every
-// session ever admitted is exactly one of live, deleted, evicted or closed
-// with the manager.
-func TestCrossShardStress(t *testing.T) {
-	m, eng := newTestManager(t, Options{Shards: 4, MaxSessions: 256})
-	ctx := context.Background()
 
 	// Restorable state images, minted from throwaway sessions up front so
 	// the restore goroutine exercises the cross-epoch path (ids unknown to
@@ -241,8 +159,10 @@ func TestCrossShardStress(t *testing.T) {
 		deleted  atomic.Uint64
 		restored atomic.Uint64
 	)
+	created.Store(12)
+	deleted.Store(1)
 	var idMu sync.Mutex
-	var idPool []string
+	idPool := append([]string(nil), warm[1:]...)
 	pushID := func(id string) { idMu.Lock(); idPool = append(idPool, id); idMu.Unlock() }
 	takeID := func() (string, bool) {
 		idMu.Lock()
@@ -344,7 +264,6 @@ func TestCrossShardStress(t *testing.T) {
 				t.Errorf("impossible live count %d", st.Live)
 				return
 			}
-			_ = m.ShardStats()
 			_ = m.Len()
 			time.Sleep(time.Millisecond)
 		}
@@ -363,12 +282,5 @@ func TestCrossShardStress(t *testing.T) {
 	}
 	if st.Live != m.Len() {
 		t.Fatalf("Len %d != Stats.Live %d", m.Len(), st.Live)
-	}
-	var perLive int
-	for _, sp := range m.ShardStats() {
-		perLive += sp.Live
-	}
-	if perLive != st.Live {
-		t.Fatalf("per-shard live %d != global live %d", perLive, st.Live)
 	}
 }

@@ -201,10 +201,7 @@ func (s *Session) drainOutbox() {
 // length, so a session recovered just short of a cut does not wait a full
 // interval for its next one. Restored sessions bypass MaxSessions — they
 // were admitted before the restart — but collide with nothing: a duplicate
-// id is an error. The session is installed into the shard its id hashes to
-// (the routing is a pure function of the id), so the restored session is
-// served, evicted and repaired by the same shard that owned it before the
-// crash.
+// id is an error.
 func (m *Manager) Restore(st *State, solver core.Solver, sinceSnapshot int) (Snapshot, error) {
 	if st == nil || st.Instance == nil || st.Config == nil {
 		return Snapshot{}, fmt.Errorf("session: restore: incomplete state")
@@ -250,23 +247,18 @@ func (m *Manager) Restore(st *State, solver core.Solver, sinceSnapshot int) (Sna
 		repairStale:   st.Metrics.RepairStale,
 		repairSkips:   st.Metrics.RepairSkips,
 	}
-	sh := m.shardOf(st.ID)
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
 		return Snapshot{}, ErrClosed
 	}
-	if _, dup := sh.sessions[st.ID]; dup {
-		sh.mu.Unlock()
+	if _, dup := m.sessions[st.ID]; dup {
+		m.mu.Unlock()
 		return Snapshot{}, fmt.Errorf("session: restore %s: id already live", st.ID)
 	}
-	sh.sessions[st.ID] = s
-	// Counters move under the shard lock so a concurrent Close sweep (which
-	// zeroes them after sweeping this shard) is strictly ordered after.
-	sh.live.Add(1)
-	m.live.Add(1)
-	sh.mu.Unlock()
-	sh.restored.Add(1)
-	sh.noteTTL(st.TTL)
+	m.sessions[st.ID] = s
+	m.mu.Unlock()
+	m.restored.Add(1)
+	m.noteTTL(st.TTL)
 	return s.snapshot(now, false)
 }

@@ -4,23 +4,20 @@
 // single-threaded library type into a stateful, concurrency-safe serving
 // path.
 //
-// A Manager holds ID-keyed, versioned Sessions, each wrapping a
-// core.DynamicSession behind a serializing lock. The manager itself is a
-// thin router: sessions are hash-partitioned (FNV-1a over the id) across a
-// fixed array of shards, each an independent lock domain with a pinned owner
-// goroutine, so no hot path ever crosses a shard boundary (see shard.go).
-// Clients mutate a session by applying batches of typed, JSON-encodable
-// events (join, leave, updatePreference, rebalance); every applied event
-// bumps the session's version, so replays and monitoring can assert exactly
-// how far a session has advanced. The manager bounds the live-session count
-// (admission errors, not queues), evicts idle sessions after a TTL, and —
-// the piece that keeps a million incremental sessions near-optimal — runs
-// drift repair: each shard's owner goroutine periodically re-solves its
-// sessions' current instances through the shared engine and atomically
-// swaps in the full solution when it beats the incrementally maintained
-// configuration by a configurable margin. Repair solves run outside the
-// session lock, so the event path never blocks on a re-solve; a version
-// check at swap time discards solutions made stale by concurrent events.
+// A Manager holds ID-keyed, versioned Sessions in one table under one lock,
+// each session wrapping a core.DynamicSession behind its own serializing
+// lock; the table lock guards only the map lookup. Clients mutate a session
+// by applying batches of typed, JSON-encodable events (join, leave,
+// updatePreference, rebalance); every applied event bumps the session's
+// version, so replays and monitoring can assert exactly how far a session
+// has advanced. The manager bounds the live-session count (admission
+// errors, not queues), evicts idle sessions after a TTL, and runs drift
+// repair: its background goroutine periodically re-solves the sessions'
+// current instances through the shared engine and atomically swaps in the
+// full solution when it beats the incrementally maintained configuration by
+// a configurable margin. Repair solves run outside the session lock, so the
+// event path never blocks on a re-solve; a version check at swap time
+// discards solutions made stale by concurrent events.
 //
 // A manager built with Options.Persister is durable: every transition —
 // creation, applied batches, repair adoptions, periodic snapshot cuts,

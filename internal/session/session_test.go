@@ -684,3 +684,74 @@ func TestDriftRepairWholeWarm(t *testing.T) {
 		t.Fatalf("runs/warm/cold = %d/%d/%d, want 1/1/0", st.RepairRuns, st.RepairWarm, st.RepairCold)
 	}
 }
+
+// capBreaker shows item s to every user at slot s — one subgroup per slot
+// holding everyone, whatever the session's cap — and reports a value no
+// incumbent beats.
+type capBreaker struct{}
+
+func (capBreaker) Name() string { return "cap-breaker" }
+
+func (capBreaker) Solve(_ context.Context, in *core.Instance) (*core.Solution, error) {
+	conf := core.NewConfiguration(in.NumUsers(), in.K)
+	for u := range conf.Assign {
+		for sl := range conf.Assign[u] {
+			conf.Assign[u][sl] = sl
+		}
+	}
+	return &core.Solution{Algorithm: "cap-breaker", Config: conf, Report: core.Report{Preference: 1e9}}, nil
+}
+
+// TestDriftRepairKeepsCapViolation: a capped session keeps its incumbent
+// when a repair solve returns a configuration over the cap, however much
+// better that solve claims to be.
+func TestDriftRepairKeepsCapViolation(t *testing.T) {
+	m, _ := newTestManager(t, Options{RepairMargin: -1})
+	ctx := context.Background()
+	in := testInstance(8)
+	snap, _, err := m.CreateWith(ctx, in, CreateSpec{SizeCap: 2, Solver: capBreaker{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.get(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seat users two by two: user u shows items 2u and 2u+1 (mod m), so no
+	// subgroup holds more than two users.
+	spread := core.NewConfiguration(in.NumUsers(), in.K)
+	for u := range spread.Assign {
+		for sl := range spread.Assign[u] {
+			spread.Assign[u][sl] = (u*in.K + sl) % in.NumItems
+		}
+	}
+	if got := spread.MaxSubgroupSize(); got > 2 {
+		t.Fatalf("spread configuration has a subgroup of %d", got)
+	}
+	s.mu.Lock()
+	if err := s.ds.Adopt(spread); err != nil {
+		s.mu.Unlock()
+		t.Fatal(err)
+	}
+	s.value = s.ds.Value()
+	s.mu.Unlock()
+
+	m.RepairAll(ctx)
+	rep, err := m.Snapshot(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.RepairRuns != 1 || st.RepairKeeps != 1 || st.RepairSwaps != 0 {
+		t.Fatalf("runs/keeps/swaps = %d/%d/%d, want 1/1/0", st.RepairRuns, st.RepairKeeps, st.RepairSwaps)
+	}
+	if rep.Version != snap.Version {
+		t.Fatalf("version moved %d -> %d on a kept repair", snap.Version, rep.Version)
+	}
+	for u := range spread.Assign {
+		for sl := range spread.Assign[u] {
+			if rep.Assignment[u][sl] != spread.Assign[u][sl] {
+				t.Fatalf("user %d slot %d: serving item %d, want the incumbent's %d", u, sl, rep.Assignment[u][sl], spread.Assign[u][sl])
+			}
+		}
+	}
+}

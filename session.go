@@ -10,11 +10,9 @@ import (
 // JSON-encodable events, bounded in count, evicted when idle, and kept
 // near-optimal by background drift repair — periodic full re-solves through
 // the shared Engine that are atomically swapped in when they beat the
-// incrementally maintained configuration by a margin. The manager is
-// internally sharded: session ids hash (FNV-1a) onto
-// SessionManagerOptions.Shards independent lock domains (default GOMAXPROCS),
-// each with a pinned owner goroutine for its eviction and repair, so serving
-// throughput scales with cores instead of serializing behind one lock.
+// incrementally maintained configuration by a margin. The manager keeps one
+// session table under one lock, held only for the map lookup, and one
+// background goroutine for eviction and repair.
 //
 //	eng := svgic.NewEngine(svgic.EngineOptions{})
 //	defer eng.Close()
@@ -34,8 +32,8 @@ import (
 type (
 	// SessionManager is the concurrency-safe registry of live sessions.
 	SessionManager = session.Manager
-	// SessionManagerOptions configures NewSessionManager: engine, shard
-	// count, session bound, idle TTL and the drift-repair interval/margin.
+	// SessionManagerOptions configures NewSessionManager: engine, session
+	// bound, idle TTL, the drift-repair interval/margin and durability.
 	SessionManagerOptions = session.Options
 	// SessionEvent is one typed live-session event (join, leave,
 	// updatePreference, rebalance).
@@ -54,10 +52,6 @@ type (
 	// SessionManagerStats aggregates the manager's admission, event and
 	// drift-repair counters.
 	SessionManagerStats = session.Stats
-	// SessionShardStats is one shard's slice of the manager counters —
-	// SessionManager.ShardStats returns one per lock domain, for routing
-	// imbalance and hot-shard monitoring.
-	SessionShardStats = session.ShardStats
 	// SessionTie is the wire form of one friend tie in a join event.
 	SessionTie = session.TieJSON
 	// SessionTrace is a replayable live-session workload: an instance plus
