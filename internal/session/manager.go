@@ -411,8 +411,8 @@ func (m *Manager) Apply(id string, events []Event) (ApplyResult, error) {
 		return ApplyResult{}, err
 	}
 	res, err := s.apply(m.now(), events)
+	m.events.Add(uint64(len(res.Results)))
 	for _, r := range res.Results {
-		m.events.Add(1)
 		switch r.Type {
 		case EventJoin:
 			m.joins.Add(1)
