@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short fuzz bench bench-sessions bench-dynamic bench-lp fmt fmt-check vet lint lint-internal lint-fixtures perfbench-check check serve-smoke session-smoke crash-smoke slo-smoke
+.PHONY: build test test-short fuzz bench bench-sessions bench-dynamic bench-lp fmt fmt-check vet lint lint-internal lint-fixtures perfbench-check check loc serve-smoke session-smoke crash-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,15 @@ lint-fixtures:
 # the public API that breaks `bash perfbench/run.sh` fails here first.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go line count, the size a simplifying change is judged by: every
+# .go file outside perfbench/, testdata/ and .bench_build/, minus _test.go
+# files, per package directory and in total. A CI `check` step, report-only.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' \
+		-not -path '*/testdata/*' -not -path './.bench_build/*' -exec wc -l {} + \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # The smokes build both binaries: svgicload launches ./bin/svgicd as a child
 # with the flags after its path (plus -addr), drives it, and fails unless the

@@ -2,8 +2,9 @@
 // the batch engine, with bounded-in-flight admission control (429 +
 // Retry-After under overload), per-request deadlines, per-request algorithm
 // selection from the solver registry ("algo"/"params" request fields, GET
-// /v1/algorithms for discovery), request coalescing keyed on (instance,
-// solver) and graceful drain on SIGINT/SIGTERM.
+// /v1/algorithms for discovery), the engine's request coalescing keyed on
+// (instance, solver) for every solve and session create, and graceful drain
+// on SIGINT/SIGTERM.
 //
 // Serve:
 //

@@ -106,7 +106,7 @@ func report(shots []shot) (bad int) {
 		return time.Duration(s * float64(time.Second)).Round(10 * time.Microsecond)
 	}
 	for _, kind := range kinds {
-		d := telemetry.NewDigest(0)
+		d := telemetry.NewDigest()
 		for _, l := range lats[kind] {
 			d.Add(l.Seconds())
 		}

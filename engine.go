@@ -21,19 +21,22 @@ import (
 //	sols, err := eng.SolveBatch(ctx, batch)    // many groups, shared pool
 //	fmt.Println(eng.Stats())                   // global + per-algorithm counters
 //
-// Per-request solvers are typically registry-built (NewSolver); a solver
-// without a parameter-precise cache identity (core.CacheKeyer) bypasses the
-// result cache and request coalescing rather than risk aliasing. With the
-// default deterministic AVG-D solver the engine returns exactly the
-// configuration a direct AVG-D solve returns — decomposition and concurrency
-// change the wall time, never the answer.
+// Every call, session creates included, coalesces: identical concurrent
+// calls (same fingerprint, same solver identity) run the solver once and
+// each receive a private copy. Per-request solvers are typically
+// registry-built (NewSolver); a solver without a parameter-precise cache
+// identity (core.CacheKeyer) bypasses the result cache and coalescing
+// rather than risk aliasing. With the default deterministic AVG-D solver
+// the engine returns exactly the configuration a direct AVG-D solve
+// returns — decomposition and concurrency change the wall time, never the
+// answer.
 type Engine = engine.Engine
 
 // EngineOptions configures NewEngine: worker count, per-worker solver
 // factory, result-cache size and the decomposition switch.
 type EngineOptions = engine.Options
 
-// EngineStats is a snapshot of an Engine's latency, cache and
+// EngineStats is a snapshot of an Engine's latency, cache, coalescing and
 // per-algorithm counters.
 type EngineStats = engine.Stats
 

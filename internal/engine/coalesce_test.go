@@ -13,7 +13,7 @@ import (
 
 // gateSolver blocks every Solve on a gate channel and counts executions —
 // the deterministic way to hold a request in flight while concurrent
-// duplicates pile up on the coalescer.
+// duplicates pile up on its flight.
 type gateSolver struct {
 	gate  <-chan struct{} // closed by the test to release all solves
 	runs  *atomic.Int64
@@ -49,13 +49,12 @@ func TestCoalescerCollapsesConcurrentDuplicates(t *testing.T) {
 	var runs atomic.Int64
 	e := New(Options{
 		Workers:   1,
-		CacheSize: -1, // cache off: any collapse below is the coalescer's doing
+		CacheSize: -1, // cache off: any collapse below is coalescing's doing
 		NewSolver: func() core.Solver {
 			return &gateSolver{gate: gate, runs: &runs, inner: &core.AVGDSolver{}}
 		},
 	})
 	defer e.Close()
-	c := NewCoalescer(e)
 
 	in := multiComponentInstance(7, 1, 6, 12, 3, 0.5)
 	sols := make([]*core.Solution, n)
@@ -66,12 +65,12 @@ func TestCoalescerCollapsesConcurrentDuplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sols[i], errs[i] = c.Solve(context.Background(), in)
+			sols[i], errs[i] = e.Solve(context.Background(), in)
 		}()
 	}
 	// One leader is stuck on the gate; everyone else must park on its call.
 	waitFor(t, "leader to start", func() bool { return runs.Load() == 1 })
-	waitFor(t, "followers to join", func() bool { return c.Stats().Joins == n-1 })
+	waitFor(t, "followers to join", func() bool { return e.Stats().Joins == n-1 })
 	close(gate)
 	wg.Wait()
 
@@ -97,7 +96,7 @@ func TestCoalescerCollapsesConcurrentDuplicates(t *testing.T) {
 	if st := e.Stats(); st.Solved != 1 {
 		t.Errorf("engine Solved = %d, want 1", st.Solved)
 	}
-	if st := c.Stats(); st.Leads != 1 || st.Joins != n-1 {
+	if st := e.Stats(); st.Leads != 1 || st.Joins != n-1 {
 		t.Errorf("coalesce stats = %+v, want 1 lead / %d joins", st, n-1)
 	}
 	// Deep-copy fan-out: mutating one caller's result must not reach another.
@@ -122,12 +121,11 @@ func TestCoalescerFollowerHonorsOwnContext(t *testing.T) {
 		},
 	})
 	defer e.Close()
-	c := NewCoalescer(e)
 	in := multiComponentInstance(8, 1, 5, 10, 2, 0.5)
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.Solve(context.Background(), in)
+		_, err := e.Solve(context.Background(), in)
 		leaderDone <- err
 	}()
 	waitFor(t, "leader to start", func() bool { return runs.Load() == 1 })
@@ -135,10 +133,10 @@ func TestCoalescerFollowerHonorsOwnContext(t *testing.T) {
 	fctx, fcancel := context.WithCancel(context.Background())
 	followerDone := make(chan error, 1)
 	go func() {
-		_, err := c.Solve(fctx, in)
+		_, err := e.Solve(fctx, in)
 		followerDone <- err
 	}()
-	waitFor(t, "follower to join", func() bool { return c.Stats().Joins == 1 })
+	waitFor(t, "follower to join", func() bool { return e.Stats().Joins == 1 })
 	fcancel()
 	if err := <-followerDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("follower error = %v, want context.Canceled", err)
@@ -163,28 +161,27 @@ func TestCoalescerLeaderErrorFansOut(t *testing.T) {
 		},
 	})
 	defer e.Close()
-	c := NewCoalescer(e)
 	in := multiComponentInstance(9, 1, 5, 10, 2, 0.5) // m=10 trips the flaky solver
 
 	results := make(chan error, 2)
-	go func() { _, err := c.Solve(context.Background(), in); results <- err }()
+	go func() { _, err := e.Solve(context.Background(), in); results <- err }()
 	waitFor(t, "leader to start", func() bool { return runs.Load() == 1 })
-	go func() { _, err := c.Solve(context.Background(), in); results <- err }()
-	waitFor(t, "follower to join", func() bool { return c.Stats().Joins == 1 })
+	go func() { _, err := e.Solve(context.Background(), in); results <- err }()
+	waitFor(t, "follower to join", func() bool { return e.Stats().Joins == 1 })
 	close(gate)
 	for i := 0; i < 2; i++ {
 		if err := <-results; err == nil || !errors.Is(err, errFlaky) {
 			t.Fatalf("result %d: err = %v, want flaky failure", i, err)
 		}
 	}
-	if st := c.Stats(); st.Leads != 1 || st.Joins != 1 {
+	if st := e.Stats(); st.Leads != 1 || st.Joins != 1 {
 		t.Errorf("coalesce stats after error = %+v", st)
 	}
 	// The flight is gone: the next identical request leads again.
-	if _, err := c.Solve(context.Background(), in); err == nil {
+	if _, err := e.Solve(context.Background(), in); err == nil {
 		t.Fatal("retry unexpectedly succeeded")
 	}
-	if st := c.Stats(); st.Leads != 2 {
+	if st := e.Stats(); st.Leads != 2 {
 		t.Errorf("retry did not lead a fresh flight: %+v", st)
 	}
 }
@@ -202,7 +199,6 @@ func TestCoalescerBatchCollapsesInternalDuplicates(t *testing.T) {
 		},
 	})
 	defer e.Close()
-	c := NewCoalescer(e)
 
 	a := multiComponentInstance(11, 1, 5, 12, 2, 0.5)
 	b := multiComponentInstance(12, 1, 5, 12, 2, 0.5)
@@ -211,16 +207,16 @@ func TestCoalescerBatchCollapsesInternalDuplicates(t *testing.T) {
 	var batchErr error
 	go func() {
 		defer close(done)
-		sols, batchErr = c.SolveBatch(context.Background(), []*core.Instance{a, a, a, b})
+		sols, batchErr = e.SolveBatch(context.Background(), []*core.Instance{a, a, a, b})
 	}()
 	// Two flights (a's leader and b's leader) and two joined duplicates of a.
-	waitFor(t, "duplicates to join", func() bool { return c.Stats().Joins == 2 })
+	waitFor(t, "duplicates to join", func() bool { return e.Stats().Joins == 2 })
 	close(gate)
 	<-done
 	if batchErr != nil {
 		t.Fatal(batchErr)
 	}
-	if st := c.Stats(); st.Leads != 2 || st.Joins != 2 {
+	if st := e.Stats(); st.Leads != 2 || st.Joins != 2 {
 		t.Errorf("coalesce stats = %+v, want 2 leads / 2 joins", st)
 	}
 	if got := runs.Load(); got != 2 {
@@ -242,14 +238,13 @@ func TestCoalescerBatchCollapsesInternalDuplicates(t *testing.T) {
 func TestCoalescerSequentialCallsDoNotCoalesce(t *testing.T) {
 	e := New(Options{Workers: 2, CacheSize: -1})
 	defer e.Close()
-	c := NewCoalescer(e)
 	in := multiComponentInstance(13, 2, 4, 10, 2, 0.5)
 	for i := 0; i < 3; i++ {
-		if _, err := c.Solve(context.Background(), in); err != nil {
+		if _, err := e.Solve(context.Background(), in); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := c.Stats(); st.Leads != 3 || st.Joins != 0 {
+	if st := e.Stats(); st.Leads != 3 || st.Joins != 0 {
 		t.Errorf("coalesce stats = %+v, want 3 leads / 0 joins", st)
 	}
 	if st := e.Stats(); st.Solved != 3 {
@@ -257,20 +252,19 @@ func TestCoalescerSequentialCallsDoNotCoalesce(t *testing.T) {
 	}
 }
 
-// TestCoalescerRejectsInvalidInstance: validation is delegated to the
-// engine, whose error comes back unchanged, and the failed flight does not
-// poison later requests on the same key.
+// TestCoalescerRejectsInvalidInstance: validation runs before any flight,
+// its error comes back unchanged, and the rejected call does not poison
+// later requests on the same key.
 func TestCoalescerRejectsInvalidInstance(t *testing.T) {
 	e := New(Options{Workers: 1, CacheSize: -1})
 	defer e.Close()
-	c := NewCoalescer(e)
 	invalid := multiComponentInstance(14, 1, 4, 10, 2, 0.5)
 	invalid.K = invalid.NumItems + 1 // k > m
 	wantErr := invalid.Validate()
 	if wantErr == nil {
 		t.Fatal("test instance unexpectedly valid")
 	}
-	if _, err := c.Solve(context.Background(), invalid); err == nil || err.Error() != wantErr.Error() {
+	if _, err := e.Solve(context.Background(), invalid); err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("err = %v, want the engine's validation error %v", err, wantErr)
 	}
 	// Rejected calls never touch engine counters, and the flight is gone.
@@ -278,7 +272,7 @@ func TestCoalescerRejectsInvalidInstance(t *testing.T) {
 		t.Errorf("invalid instance moved engine counters: %+v", st)
 	}
 	valid := multiComponentInstance(14, 1, 4, 10, 2, 0.5)
-	if _, err := c.Solve(context.Background(), valid); err != nil {
+	if _, err := e.Solve(context.Background(), valid); err != nil {
 		t.Fatalf("valid instance after invalid flight: %v", err)
 	}
 }
@@ -298,7 +292,6 @@ func TestCoalescerFollowerRetriesAfterLeaderCancel(t *testing.T) {
 		},
 	})
 	defer e.Close()
-	c := NewCoalescer(e)
 
 	// A blocker on a different instance pins the only worker behind the
 	// gate, so the leader below is stuck at the submit select and its cancel
@@ -306,7 +299,7 @@ func TestCoalescerFollowerRetriesAfterLeaderCancel(t *testing.T) {
 	blocker := multiComponentInstance(20, 1, 5, 12, 2, 0.5)
 	blockerDone := make(chan error, 1)
 	go func() {
-		_, err := c.Solve(context.Background(), blocker)
+		_, err := e.Solve(context.Background(), blocker)
 		blockerDone <- err
 	}()
 	waitFor(t, "blocker to occupy the worker", func() bool { return runs.Load() == 1 })
@@ -315,19 +308,25 @@ func TestCoalescerFollowerRetriesAfterLeaderCancel(t *testing.T) {
 	lctx, lcancel := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.Solve(lctx, in)
+		_, err := e.Solve(lctx, in)
 		leaderDone <- err
 	}()
-	waitFor(t, "leader to lead", func() bool { return c.Stats().Leads == 2 })
+	// Leads counts a call only once it ends, so wait on the leader's flight
+	// (the blocker's is the other one).
+	waitFor(t, "leader to lead", func() bool {
+		e.cache.mu.Lock()
+		defer e.cache.mu.Unlock()
+		return len(e.cache.flights) == 2
+	})
 
 	followerDone := make(chan error, 1)
 	var followerSol *core.Solution
 	go func() {
-		sol, err := c.Solve(context.Background(), in)
+		sol, err := e.Solve(context.Background(), in)
 		followerSol = sol
 		followerDone <- err
 	}()
-	waitFor(t, "follower to join", func() bool { return c.Stats().Joins == 1 })
+	waitFor(t, "follower to join", func() bool { return e.Stats().Joins == 1 })
 
 	lcancel() // the worker is still pinned, so the leader must fail here
 	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
@@ -343,7 +342,7 @@ func TestCoalescerFollowerRetriesAfterLeaderCancel(t *testing.T) {
 	if err := followerSol.Config.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Leads != 3 || st.Joins != 1 {
+	if st := e.Stats(); st.Leads != 3 || st.Joins != 1 {
 		t.Errorf("coalesce stats = %+v, want 3 leads (blocker, leader, follower retry) / 1 join", st)
 	}
 }

@@ -123,9 +123,15 @@ func TestEngineCounterIdentityStress(t *testing.T) {
 
 	st := e.Stats()
 	assertCounterIdentity(t, st)
+	// Every admitted call either ends in a Solves bucket or joins another
+	// call's flight; no leader here is canceled mid-flight, so no joiner
+	// goes around to count twice.
 	total := uint64(goroutines * iters)
-	if st.Solves != total {
-		t.Errorf("Solves = %d, want %d (one per admitted call)", st.Solves, total)
+	if st.Solves+st.Joins != total {
+		t.Errorf("Solves + Joins = %d + %d, want %d (one per admitted call)", st.Solves, st.Joins, total)
+	}
+	if st.Leads != st.Solves {
+		t.Errorf("Leads = %d, want Solves = %d", st.Leads, st.Solves)
 	}
 	if st.CacheHits == 0 || st.Solved == 0 || st.Canceled == 0 || st.Errors == 0 {
 		t.Errorf("stress mix did not exercise every bucket: %+v", st)

@@ -9,11 +9,22 @@
 // The engine is the serving-path counterpart of a bare core.Solver: where
 // Solver.Solve answers one group on the caller's goroutine, an Engine
 // answers many groups at once on a bounded number of goroutines, under
-// context cancellation and deadlines, with latency, cache and
+// context cancellation and deadlines, with latency, cache, coalescing and
 // per-algorithm counters. Every registered solver can be used per request
-// via SolveWith; the cache and the Coalescer incorporate the solver's cache
-// key, so AVG and AVG-D results (or one algorithm under two
-// parameterizations) never alias.
+// via SolveWith; the cache key incorporates the solver's cache key, so AVG
+// and AVG-D results (or one algorithm under two parameterizations) never
+// alias.
+//
+// Every call takes one path: validate, fingerprint once, then answer from
+// the cache, join an identical solve already in flight, or lead one. The
+// LRU cache only helps after the first solve of an instance completes;
+// under a flash crowd (N identical requests arriving inside one solve's
+// latency) the first arrival leads, the rest park on its flight, and the
+// leader's solution fans out to them as deep copies, so the solver runs
+// once and every caller may mutate its configuration freely. A joiner's own
+// context bounds its wait; if the leader fails with its own context error
+// while the joiner's context is live, the joiner goes around again rather
+// than inherit an error that was never its own.
 package engine
 
 import (
@@ -45,8 +56,9 @@ type Options struct {
 	// cheats. Nil means deterministic AVG-D with default options.
 	NewSolver func() core.Solver
 	// CacheSize bounds the (fingerprint, solver)-keyed result cache: zero
-	// means DefaultCacheSize, negative disables caching. Cached solutions are
-	// returned as deep copies, so callers may mutate results freely.
+	// means DefaultCacheSize, negative disables caching (identical concurrent
+	// calls still coalesce). Cached solutions are returned as deep copies, so
+	// callers may mutate results freely.
 	CacheSize int
 	// SolveObserver, when set, receives the display name and wall time of
 	// every solve that ran a solver to completion (cache hits, cancels and
@@ -73,14 +85,15 @@ type AlgoStats struct {
 
 // Stats is a snapshot of an Engine's counters.
 //
-// Every Solve call that passes validation ends in exactly one of four
-// buckets, so the identity
+// Every Solve call that passes validation and does not join an identical
+// in-flight solve ends in exactly one of four buckets, so the identity
 //
 //	Solves == CacheHits + Solved + Canceled + Errors
 //
 // holds globally and per algorithm (asserted under -race by the engine
-// stress test). Calls rejected before admission — validation failures and
-// calls on an already-closed engine — touch no counters at all. Errors
+// stress test); joins are counted in CoalesceStats.Joins alone. Calls
+// rejected before admission — validation failures and calls on an
+// already-closed engine — touch no counters at all. Errors
 // counts solves failed by a component solver or by a mid-flight Close;
 // retries of errored solves miss the cache again. The metric tags name the
 // svgicd /metrics family of each exported counter (see server/metrics.go).
@@ -103,6 +116,21 @@ type Stats struct {
 	// (e.g. "AVG-D"), so a mixed-algorithm serving workload is observable
 	// per algorithm.
 	PerAlgorithm map[string]AlgoStats `json:"perAlgorithm,omitempty" metric:",algo"`
+	// CoalesceStats is served as its own /v1/stats section, not under the
+	// engine's.
+	CoalesceStats `json:"-"`
+}
+
+// CoalesceStats is the coalescing slice of Stats. Leads counts the calls
+// that did not join a flight; it is read from Solves, since every such call
+// ends in exactly one of the four buckets. Joins counts calls answered by
+// parking on another call's in-flight solve; a join lands in no Solves
+// bucket, so every admitted call is counted once in Solves + Joins (a
+// joiner that goes around after its leader's cancellation counts again
+// where its retry ends).
+type CoalesceStats struct {
+	Leads uint64 `json:"leads" metric:"svgicd_coalesce_leads_total" help:"Coalesced flights that ran the engine."`
+	Joins uint64 `json:"joins" metric:"svgicd_coalesce_joins_total" help:"Requests answered by joining an in-flight solve."`
 }
 
 // avgMS is the mean of total over n in milliseconds, truncated to the
@@ -125,8 +153,8 @@ type task struct {
 
 // SolverKey returns the caching identity of a solver: its CacheKey when it
 // implements core.CacheKeyer (registry-built solvers do), its Name
-// otherwise. Cache and coalescing keys pair it with the instance
-// fingerprint.
+// otherwise. The cache key, which also keys the flights, pairs it with the
+// instance fingerprint.
 func SolverKey(s core.Solver) string {
 	if ck, ok := s.(core.CacheKeyer); ok {
 		return ck.CacheKey()
@@ -138,21 +166,12 @@ func SolverKey(s core.Solver) string {
 // identity. The engine's default solver is always keyed (its parameters are
 // fixed for the engine's lifetime, so even a bare Name cannot alias); a
 // per-request solver without core.CacheKeyer is NOT — two AVG-D instances
-// with different size caps share one Name — so such solvers bypass the
-// result cache and the coalescer rather than risk serving one
+// with different size caps share one Name — so such solvers run directly,
+// with no cache entry and no flight, rather than risk serving one
 // parameterization's result for another.
 func keyedSolver(s core.Solver) bool {
 	_, ok := s.(core.CacheKeyer)
 	return ok
-}
-
-// solverKeyFor resolves the cache identity for a request-level solver (nil
-// means the engine default).
-func (e *Engine) solverKeyFor(s core.Solver) string {
-	if s == nil {
-		return e.defaultKey
-	}
-	return SolverKey(s)
 }
 
 // decomposeSafe reports whether the solver declares component decomposition
@@ -165,12 +184,12 @@ func decomposeSafe(s core.Solver) bool {
 }
 
 // Uncached strips a solver down to the bare Solver interface: no CacheKeyer,
-// no ComponentSafe. The engine then solves the instance whole and bypasses
-// the result cache and the coalescer. Warm-started repair solvers ride
-// through here — their results depend on a session's incumbent configuration
-// (not just the instance fingerprint), so serving them from a keyed cache
-// would alias distinct incumbents, and the caller has already decomposed to
-// the component it wants solved.
+// no ComponentSafe. The engine then solves the instance whole, with no cache
+// entry and no flight, so the call never coalesces. Warm-started repair
+// solvers ride through here — their results depend on a session's incumbent
+// configuration (not just the instance fingerprint), so serving them from a
+// keyed cache or another call's flight would alias distinct incumbents, and
+// the caller has already decomposed to the component it wants solved.
 type Uncached struct {
 	S core.Solver
 }
@@ -196,13 +215,14 @@ type Engine struct {
 	tasks         chan task
 	done          chan struct{} // closed by Close; unblocks submitters and workers
 	wg            sync.WaitGroup
-	cache         *lruCache
+	cache         *lruCache // results and the flights of keyed solves
 	closeOnce     sync.Once
 	closed        atomic.Bool
 
 	batches     atomic.Uint64
 	components  atomic.Uint64
 	cacheMisses atomic.Uint64
+	joins       atomic.Uint64
 
 	// algoMu guards the per-algorithm buckets, the only record of each
 	// solve's outcome; Stats sums them into the global counters.
@@ -226,6 +246,10 @@ func New(opts Options) *Engine {
 	for w := range solvers {
 		solvers[w] = newSolver()
 	}
+	cacheSize := opts.CacheSize
+	if cacheSize == 0 {
+		cacheSize = DefaultCacheSize
+	}
 	e := &Engine{
 		workers:       workers,
 		defaultWhole:  !decomposeSafe(solvers[0]),
@@ -233,14 +257,9 @@ func New(opts Options) *Engine {
 		defaultKey:    SolverKey(solvers[0]),
 		tasks:         make(chan task),
 		done:          make(chan struct{}),
+		cache:         newLRUCache(max(cacheSize, 0)),
 		algos:         make(map[string]*AlgoStats),
 		observer:      opts.SolveObserver,
-	}
-	switch {
-	case opts.CacheSize == 0:
-		e.cache = newLRUCache(DefaultCacheSize)
-	case opts.CacheSize > 0:
-		e.cache = newLRUCache(opts.CacheSize)
 	}
 	e.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -309,6 +328,7 @@ func (e *Engine) Stats() Stats {
 	}
 	e.algoMu.Unlock()
 	st.AvgLatencyMS = avgMS(st.TotalLatency, st.Solved)
+	st.Leads, st.Joins = st.Solves, e.joins.Load()
 	return st
 }
 
@@ -351,7 +371,7 @@ func (e *Engine) record(algo string, o outcome, latency time.Duration) {
 
 // Solve answers one instance with the engine's default solver. See SolveWith.
 func (e *Engine) Solve(ctx context.Context, in *core.Instance) (*core.Solution, error) {
-	return e.solve(ctx, in, nil, nil)
+	return e.solve(ctx, in, nil)
 }
 
 // DefaultSolver returns the engine's default solver instance — what Solve
@@ -363,41 +383,35 @@ func (e *Engine) DefaultSolver() core.Solver {
 }
 
 // SolveWith answers one instance with the given solver (any core.Solver —
-// typically a registry-built one): cache lookup under the (fingerprint,
-// solver-key) pair, component decomposition when the solver declares it
-// safe, concurrent component solves on the shared pool, merge, cache fill.
-// A solver that does not implement core.CacheKeyer has no parameter-precise
-// identity and therefore bypasses the result cache (every call solves);
-// registry-built solvers are always keyed. The solver must be safe for
-// concurrent use: decomposed components run it from several workers at
-// once. The context bounds the call — cancellation abandons components that
-// have not started (a component already on a worker runs to completion but
-// its result is discarded).
+// typically a registry-built one; nil means the engine default): cache
+// lookup under the (fingerprint, solver-key) pair, else joining an identical
+// in-flight call or leading one — component decomposition when the solver
+// declares it safe, concurrent component solves on the shared pool, merge,
+// cache fill. A solver that does not implement core.CacheKeyer has no
+// parameter-precise identity and therefore bypasses the result cache and
+// coalescing (every call solves); registry-built solvers are always keyed.
+// The solver must be safe for concurrent use: decomposed components run it
+// from several workers at once. The context bounds the call — cancellation
+// abandons components that have not started (a component already on a
+// worker runs to completion but its result is discarded) and ends a wait on
+// another call's flight. The returned solution is always private to the
+// caller.
 func (e *Engine) SolveWith(ctx context.Context, in *core.Instance, solver core.Solver) (*core.Solution, error) {
-	if solver == nil {
-		return nil, errors.New("engine: SolveWith requires a solver (use Solve for the default)")
-	}
-	return e.solve(ctx, in, solver, nil)
+	return e.solve(ctx, in, solver)
 }
 
-// solve is every solve path's body. key is the call's cache key when the
-// caller has already computed it (the Coalescer keys its flights the same
-// way), nil otherwise; fingerprinting costs about as much as a cache hit,
-// so it must not run twice.
-func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solver, key *cacheKey) (*core.Solution, error) {
+// solve is every solve path's body: admission, then one fingerprint and the
+// cache-or-flight loop for keyed solvers. A nil solver means the default.
+func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solver) (*core.Solution, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	algo := e.defaultSolver.Name()
-	whole := e.defaultWhole
-	useCache := e.cache != nil
+	algo, whole, id := e.defaultSolver.Name(), e.defaultWhole, e.defaultKey
 	if solver != nil {
-		algo = solver.Name()
-		whole = !decomposeSafe(solver)
-		useCache = useCache && keyedSolver(solver)
+		algo, whole = solver.Name(), !decomposeSafe(solver)
 	}
 	// Dead-on-arrival requests: don't pay the O(n·m + |E|·m) fingerprint or
 	// touch the cache counters for a call that cannot run.
@@ -405,18 +419,57 @@ func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solve
 		e.record(algo, outcomeCanceled, 0)
 		return nil, err
 	}
-	start := time.Now()
-	if useCache {
-		if key == nil {
-			key = &cacheKey{fp: core.Fingerprint(in), solver: e.solverKeyFor(solver)}
+	if solver != nil {
+		if !keyedSolver(solver) {
+			return e.run(ctx, in, solver, algo, whole)
 		}
-		if sol, ok := e.cache.get(*key); ok {
-			e.record(algo, outcomeCacheHit, 0)
-			return sol, nil
-		}
-		e.cacheMisses.Add(1)
+		id = SolverKey(solver)
 	}
+	key := cacheKey{fp: core.Fingerprint(in), solver: id}
+	for {
+		hit, f, lead := e.cache.lookup(key)
+		if hit != nil {
+			e.record(algo, outcomeCacheHit, 0)
+			return hit, nil
+		}
+		if lead {
+			if e.cache.cap > 0 {
+				e.cacheMisses.Add(1)
+			}
+			sol, err := e.run(ctx, in, solver, algo, whole)
+			e.cache.land(key, f, sol, err)
+			return sol, err
+		}
+		e.joins.Add(1)
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if f.err == nil {
+			// f.sol is immutable once done is closed; every joiner clones it
+			// so results stay independently mutable.
+			return f.sol.Clone(), nil
+		}
+		// The leader's context failure is the leader's, not ours: with a
+		// still-live context, go around — lead a fresh flight or join a
+		// newer one. One dead client must not fail the whole crowd.
+		if !isContextErr(f.err) || ctx.Err() != nil {
+			return nil, f.err
+		}
+	}
+}
 
+// isContextErr reports whether err is a context cancellation or deadline
+// failure (possibly wrapped).
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// run solves one admitted call on the pool and lands it in exactly one of the
+// Errors, Canceled and Solved buckets of algo.
+func (e *Engine) run(ctx context.Context, in *core.Instance, solver core.Solver, algo string, whole bool) (*core.Solution, error) {
+	start := time.Now()
 	subs := []*core.Instance{in}
 	var origs [][]int
 	if !whole {
@@ -449,13 +502,11 @@ func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solve
 	wg.Wait()
 	// Real solver errors win over concurrent cancellation/shutdown: a caller
 	// retrying a context error must not be hiding a deterministic failure.
-	// Every terminal path below lands the call in exactly one Stats bucket
-	// (Errors / Canceled / Solved), keeping the counter identity intact.
 	var ctxErr, closedErr error
 	for i, err := range errs {
 		switch {
 		case err == nil:
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		case isContextErr(err):
 			ctxErr = err
 		case errors.Is(err, ErrClosed):
 			closedErr = err
@@ -479,33 +530,18 @@ func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solve
 		sol = core.MergeSolutions(in, parts, origs)
 	}
 	sol.Wall = time.Since(start)
-	if useCache {
-		e.cache.put(*key, sol)
-	}
 	e.record(algo, outcomeSolved, sol.Wall)
 	return sol, nil
 }
 
 // SolveBatch answers a batch of instances concurrently with the default
 // solver, sharing the worker pool at component granularity, and returns one
-// solution per instance in input order. On error the slice still carries
-// every solution that completed (nil for the failures) and the error joins
-// the per-instance failures.
+// solution per instance in input order. Duplicates inside the batch, and
+// across concurrent calls, coalesce like any other call. On error the slice
+// still carries every solution that completed (nil for the failures) and the
+// error joins the per-instance failures.
 func (e *Engine) SolveBatch(ctx context.Context, ins []*core.Instance) ([]*core.Solution, error) {
-	return e.SolveBatchWith(ctx, ins, nil)
-}
-
-// SolveBatchWith is SolveBatch with a per-batch solver (nil means the
-// engine default).
-func (e *Engine) SolveBatchWith(ctx context.Context, ins []*core.Instance, solver core.Solver) ([]*core.Solution, error) {
-	var solvers []core.Solver
-	if solver != nil {
-		solvers = make([]core.Solver, len(ins))
-		for i := range solvers {
-			solvers[i] = solver
-		}
-	}
-	return e.SolveBatchEach(ctx, ins, solvers)
+	return e.SolveBatchEach(ctx, ins, nil)
 }
 
 // SolveBatchEach is SolveBatch with a per-item solver selection: solvers is
@@ -531,7 +567,7 @@ func (e *Engine) SolveBatchEach(ctx context.Context, ins []*core.Instance, solve
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sols[i], errs[i] = e.solve(ctx, in, solver, nil)
+			sols[i], errs[i] = e.solve(ctx, in, solver)
 		}()
 	}
 	wg.Wait()

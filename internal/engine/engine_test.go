@@ -221,8 +221,10 @@ func TestEngineConcurrentSolvesRaceClean(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := e.Stats(); st.Solves != 32 {
-		t.Errorf("Solves = %d, want 32", st.Solves)
+	// Identical concurrent calls may join one flight instead of counting a
+	// solve of their own.
+	if st := e.Stats(); st.Solves+st.Joins != 32 {
+		t.Errorf("Solves + Joins = %d + %d, want 32", st.Solves, st.Joins)
 	}
 }
 

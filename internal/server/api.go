@@ -208,9 +208,10 @@ type ServerStats struct {
 	Draining     bool   `json:"draining" metric:"svgicd_draining" help:"1 while the server is draining for shutdown."`
 }
 
-// CoalesceStats is the request-coalescing slice of GET /v1/stats: the
-// coalescer's flights and the requests that joined an identical in-flight
-// solve (same instance AND same solver).
+// CoalesceStats is the request-coalescing slice of GET /v1/stats, read from
+// the same engine snapshot as the engine section: leads equals
+// engine.solves, and joins counts the calls that joined an identical
+// in-flight solve (same instance AND same solver). Enabled is always true.
 type CoalesceStats struct {
 	Enabled bool `json:"enabled" metric:"svgicd_coalesce_enabled" help:"1 when request coalescing is on."`
 	engine.CoalesceStats

@@ -28,7 +28,8 @@ import (
 //     when the elements are structs the family is empty and the element's
 //     own tags name the families;
 //   - untagged struct fields, and non-nil pointers to structs, are walked
-//     in place; any other untagged field appears only in /v1/stats.
+//     in place; any other untagged field appears only in /v1/stats;
+//   - a field hidden from /v1/stats (json:"-") is skipped.
 //
 // The families below that are computed at scrape time rather than stored in
 // a stats field are the only ones written by hand. Naming follows the
@@ -92,6 +93,9 @@ func (e *exposition) family(name, typ, help string) *family {
 func (e *exposition) walk(v reflect.Value, labels string) {
 	for i := 0; i < v.NumField(); i++ {
 		f, fv := v.Type().Field(i), v.Field(i)
+		if f.Tag.Get("json") == "-" {
+			continue
+		}
 		tag, tagged := f.Tag.Lookup("metric")
 		if !tagged {
 			switch {

@@ -12,8 +12,9 @@
 //     lists them with parameter schemas); cache and coalescing keys pair the
 //     instance fingerprint with the solver identity, so AVG and AVG-D
 //     results never alias;
-//   - request coalescing: concurrent identical (instance, solver) requests
-//     run the solver once and fan the result out as deep copies — the
+//   - request coalescing, done by the engine for every solve, batch item and
+//     session create: concurrent identical (instance, solver) requests run
+//     the solver once and fan the result out as deep copies — the
 //     flash-crowd case the result cache cannot help with, because nothing is
 //     cached until the first solve completes;
 //   - graceful shutdown: Shutdown stops admitting, drains every in-flight
@@ -139,10 +140,6 @@ type Options struct {
 	// DegradeAlgo is the cheap fallback algorithm degraded requests are
 	// rerouted to. Empty means "avgd".
 	DegradeAlgo string
-	// DegradeFrom lists the algorithms eligible for rerouting while
-	// degraded. Empty means {"ip", "sdp"} — the expensive exact/relaxation
-	// solvers. Requests that don't name an algorithm are never degraded.
-	DegradeFrom []string
 	// NoAdaptiveAdmission keeps the SLO measurement (burn rates in /v1/stats
 	// and /metrics) but disables the feedback: no degrading, no adaptive
 	// shedding.
@@ -158,18 +155,15 @@ type Options struct {
 // Server is the svgicd HTTP handler. Create with New, stop with Shutdown.
 type Server struct {
 	eng    *engine.Engine
-	coal   *engine.Coalescer
 	mgr    *session.Manager
 	ownMgr bool // New built mgr itself (Options.Sessions was nil): Shutdown closes it
 	opts   Options
 	mux    *http.ServeMux
 
 	// tel records per-route latency; ctrl (nil without Options.SLOs) walks
-	// the degradation ladder over it. degradeFrom is the lowered DegradeFrom
-	// set.
-	tel         *telemetry.Tracker
-	ctrl        *telemetry.Controller
-	degradeFrom map[string]bool
+	// the degradation ladder over it.
+	tel  *telemetry.Tracker
+	ctrl *telemetry.Controller
 
 	// sem holds one token per admitted request; Shutdown drains the server
 	// by acquiring every token after flipping draining, so "all tokens held
@@ -226,18 +220,11 @@ func New(opts Options) (*Server, error) {
 	if _, err := registry.New(opts.DegradeAlgo, nil); err != nil {
 		return nil, fmt.Errorf("server: degrade algorithm: %w", err)
 	}
-	if len(opts.DegradeFrom) == 0 {
-		opts.DegradeFrom = []string{"ip", "sdp"}
-	}
 	s := &Server{
-		eng:         opts.Engine,
-		opts:        opts,
-		sem:         make(chan struct{}, opts.MaxInFlight),
-		tel:         opts.Telemetry,
-		degradeFrom: make(map[string]bool, len(opts.DegradeFrom)),
-	}
-	for _, algo := range opts.DegradeFrom {
-		s.degradeFrom[strings.ToLower(algo)] = true
+		eng:  opts.Engine,
+		opts: opts,
+		sem:  make(chan struct{}, opts.MaxInFlight),
+		tel:  opts.Telemetry,
 	}
 	if len(opts.SLOs) > 0 {
 		ctrl, err := telemetry.NewController(telemetry.ControllerOptions{
@@ -253,7 +240,6 @@ func New(opts Options) (*Server, error) {
 		}
 		s.ctrl = ctrl
 	}
-	s.coal = engine.NewCoalescer(opts.Engine)
 	s.mgr = opts.Sessions
 	if s.mgr == nil {
 		// The default manager persists through Options.Store when one is
@@ -431,15 +417,6 @@ func (s *Server) resolveSolver(algo string, raw json.RawMessage) (core.Solver, e
 	return registry.New(algo, params)
 }
 
-// solve routes one instance through the coalescer; a nil solver means the
-// engine default.
-func (s *Server) solve(ctx context.Context, in *core.Instance, solver core.Solver) (*core.Solution, error) {
-	if solver != nil {
-		return s.coal.SolveWith(ctx, in, solver)
-	}
-	return s.coal.Solve(ctx, in)
-}
-
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -484,7 +461,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	start := time.Now()
-	sol, err := s.solve(ctx, in, solver)
+	sol, err := s.eng.SolveWith(ctx, in, solver)
 	if err != nil {
 		s.writeSolveError(w, err)
 		return
@@ -555,18 +532,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	start := time.Now()
-	// Per-item solvers (instances may select different algorithms); the
-	// coalescer still collapses duplicates inside and across batches.
-	sols, solveErr := s.coal.SolveBatchEach(ctx, ins, solvers)
+	// Per-item solvers (instances may select different algorithms);
+	// duplicates inside and across batches still coalesce.
+	sols, solveErr := s.eng.SolveBatchEach(ctx, ins, solvers)
 	elapsed := time.Since(start)
-	// The batch shares one deadline, so a context failure is the whole
-	// request's failure; any other per-item error is an internal fault.
+	// The batch shares one deadline and one engine, so any item's failure is
+	// the whole request's, mapped like a single solve's.
 	if solveErr != nil {
-		if errors.Is(solveErr, context.DeadlineExceeded) || errors.Is(solveErr, context.Canceled) {
-			s.writeSolveError(w, solveErr)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, solveErr.Error())
+		s.writeSolveError(w, solveErr)
 		return
 	}
 	resp := BatchResponse{Results: make([]SolveResponse, len(sols)), ElapsedMS: ms(elapsed)}
@@ -661,6 +634,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // StatsSnapshot assembles the /v1/stats payload: engine counters (global and
 // per algorithm), admission counters and coalescing counters.
 func (s *Server) StatsSnapshot() StatsResponse {
+	eng := s.eng.Stats()
 	resp := StatsResponse{
 		Server: ServerStats{
 			Admitted:     s.admitted.Load(),
@@ -672,8 +646,8 @@ func (s *Server) StatsSnapshot() StatsResponse {
 			MaxInFlight:  cap(s.sem),
 			Draining:     s.draining.Load(),
 		},
-		Engine:   s.eng.Stats(),
-		Coalesce: CoalesceStats{Enabled: true, CoalesceStats: s.coal.Stats()},
+		Engine:   eng,
+		Coalesce: CoalesceStats{Enabled: true, CoalesceStats: eng.CoalesceStats},
 	}
 	resp.Sessions = SessionsStats{
 		Enabled:     true,

@@ -194,8 +194,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchCountsOneEngineBatch: a /v1/solve/batch request goes through the
-// coalescer, and still counts as one engine batch in /v1/stats.
+// TestBatchCountsOneEngineBatch: a /v1/solve/batch request counts as one
+// engine batch in /v1/stats.
 func TestBatchCountsOneEngineBatch(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
@@ -384,6 +384,32 @@ func TestClientCancelMapsTo499(t *testing.T) {
 	}
 	if st := srv.StatsSnapshot(); st.Server.ClientClosed != 1 {
 		t.Errorf("ClientClosed = %d, want 1", st.Server.ClientClosed)
+	}
+}
+
+// TestClosedEngineMapsTo503: a solve and a batch on a closed engine both
+// answer 503, not 500: the engine is shut down, nothing inside it failed.
+func TestClosedEngineMapsTo503(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	srv, err := New(Options{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	eng.Close()
+
+	_, body := testInstance(t, 4)
+	var ij core.InstanceJSON
+	decodeInto(t, body, &ij)
+	batch, err := json.Marshal([]core.InstanceJSON{ij})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for route, req := range map[string][]byte{"/v1/solve": body, "/v1/solve/batch": batch} {
+		if resp, data := postJSON(t, ts.URL+route, req); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s on a closed engine: status %d, want 503: %s", route, resp.StatusCode, data)
+		}
 	}
 }
 

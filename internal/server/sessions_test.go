@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/svgic/svgic/internal/core"
@@ -465,6 +466,47 @@ func TestSessionCappedCreate(t *testing.T) {
 		t.Fatalf("capped session served subgroup of %d > 2", maxSub)
 	}
 	_ = mgr
+}
+
+// TestSessionCreateJoinsInFlightSolve: a session create solves through the
+// same engine path as /v1/solve, so a create for an instance already being
+// solved joins that flight and the solver runs once for both.
+func TestSessionCreateJoinsInFlightSolve(t *testing.T) {
+	srv, gate, runs := newGatedServer(t, Options{MaxInFlight: 4})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	// Released on every path: a failed wait must not leave the solve parked
+	// on the gate, where ts.Close would wait for it forever.
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+
+	_, body := testInstance(t, 8)
+	solved := make(chan int, 1)
+	go func() {
+		resp, _ := postJSON(t, ts.URL+"/v1/solve", body)
+		solved <- resp.StatusCode
+	}()
+	waitFor(t, "the solve to reach the solver", func() bool { return runs.Load() == 1 })
+
+	var create CreateSessionRequest
+	decodeInto(t, body, &create.InstanceJSON)
+	created := make(chan int, 1)
+	go func() {
+		resp, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", mustJSON(t, create))
+		created <- resp.StatusCode
+	}()
+	waitFor(t, "the create to join the solve", func() bool { return srv.StatsSnapshot().Coalesce.Joins == 1 })
+	release()
+	if got := <-solved; got != http.StatusOK {
+		t.Errorf("solve: status %d, want 200", got)
+	}
+	if got := <-created; got != http.StatusCreated {
+		t.Errorf("create: status %d, want 201", got)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Errorf("solver ran %d times for a solve and a create of one instance, want 1", got)
+	}
 }
 
 func mustJSON(t *testing.T, v any) []byte {

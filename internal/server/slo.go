@@ -12,8 +12,8 @@ import (
 // telemetry.Controller watches those series' burn rates and the server reacts
 // by walking the degradation ladder —
 //
-//   - LevelDegrade: requests selecting an expensive algorithm (DegradeFrom,
-//     default ip and sdp) are silently rerouted to the cheap fallback
+//   - LevelDegrade: requests selecting an expensive algorithm (degradeFrom:
+//     ip and sdp) are silently rerouted to the cheap fallback
 //     (DegradeAlgo, default avgd) and marked "degraded": true in the
 //     response, trading optimality for latency before trading availability;
 //   - LevelShed: on top of degrading, the effective in-flight cap tightens
@@ -34,6 +34,11 @@ const (
 	routeSessionEvents = "session_events"
 	routeSessionGet    = "session_get"
 )
+
+// degradeFrom is the set of algorithms rerouted to the fallback while
+// degraded: the expensive exact and relaxation solvers. Requests that don't
+// name an algorithm are never degraded.
+var degradeFrom = map[string]bool{"ip": true, "sdp": true}
 
 // observe starts timing one admitted request; the returned func records the
 // elapsed wall time into the route's series. Time comes from the tracker's
@@ -80,7 +85,7 @@ func (s *Server) shouldDegrade(algo string) bool {
 		return false
 	}
 	algo = strings.ToLower(algo)
-	if algo == "" || algo == s.opts.DegradeAlgo || !s.degradeFrom[algo] {
+	if algo == "" || algo == s.opts.DegradeAlgo || !degradeFrom[algo] {
 		return false
 	}
 	return s.ctrl.Level() >= telemetry.LevelDegrade

@@ -25,10 +25,12 @@ var (
 
 // Defaults for Options zero values.
 const (
-	DefaultMaxSessions   = 1024
-	DefaultRepairMargin  = 0.01
-	DefaultRepairTimeout = 30 * time.Second
+	DefaultMaxSessions  = 1024
+	DefaultRepairMargin = 0.01
 )
+
+// repairTimeout bounds each drift-repair solve.
+const repairTimeout = 30 * time.Second
 
 // Options configures a Manager.
 type Options struct {
@@ -53,9 +55,6 @@ type Options struct {
 	// resolved > current·(1+margin). Zero means DefaultRepairMargin;
 	// negative means swap on any strict improvement.
 	RepairMargin float64
-	// RepairTimeout bounds each drift-repair solve. Zero means
-	// DefaultRepairTimeout.
-	RepairTimeout time.Duration
 	// Persister receives durability hooks for every session transition
 	// (internal/store implements it over a write-ahead log + snapshots).
 	// Nil keeps sessions purely in memory — a restart discards them.
@@ -81,8 +80,9 @@ type Options struct {
 
 // Stats is a snapshot of the manager's counters, aggregated over all
 // sessions that ever lived (deleting a session does not erase its event
-// counts). Live is the session table's size, read under the table lock; the
-// rest are atomic counters. The metric tags name svgicd's /metrics families.
+// counts). Live is the session table's size, read under the table lock, and
+// EventsApplied is the sum of the four per-kind event counts; the rest are
+// atomic counters. The metric tags name svgicd's /metrics families.
 type Stats struct {
 	Live     int    `json:"live" metric:"svgicd_sessions_live" help:"Live sessions."`
 	Created  uint64 `json:"created" metric:"svgicd_sessions_created_total" help:"Sessions created."`
@@ -121,7 +121,6 @@ type Manager struct {
 	maxSessions    int
 	ttl            time.Duration
 	repairMargin   float64
-	repairTimeout  time.Duration
 	persister      Persister
 	snapshotEvery  int
 	repairObserver func(d time.Duration)
@@ -153,7 +152,7 @@ type Manager struct {
 	repairSem chan struct{}
 
 	created, restored, rejected, evicted, deleted atomic.Uint64
-	events, joins, leaves, updates, rebals        atomic.Uint64
+	joins, leaves, updates, rebals                atomic.Uint64
 	repRuns, repSwaps, repKeeps, repStale         atomic.Uint64
 	repErrors, repSkips, repWarm, repCold         atomic.Uint64
 
@@ -176,7 +175,6 @@ func NewManager(opts Options) (*Manager, error) {
 		maxSessions:    opts.MaxSessions,
 		ttl:            opts.TTL,
 		repairMargin:   opts.RepairMargin,
-		repairTimeout:  opts.RepairTimeout,
 		persister:      opts.Persister,
 		snapshotEvery:  opts.SnapshotEvery,
 		repairObserver: opts.RepairObserver,
@@ -194,9 +192,6 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	if m.repairMargin == 0 {
 		m.repairMargin = DefaultRepairMargin
-	}
-	if m.repairTimeout <= 0 {
-		m.repairTimeout = DefaultRepairTimeout
 	}
 	if m.ttl > 0 {
 		m.minTTL.Store(int64(m.ttl))
@@ -259,15 +254,6 @@ func (m *Manager) newID() string {
 	return fmt.Sprintf("s%06d-%08x", m.idc.Add(1), tail)
 }
 
-// solveWith routes a full solve through the engine: the session's own solver
-// when it has one, the engine default otherwise.
-func (m *Manager) solveWith(ctx context.Context, in *core.Instance, solver core.Solver) (*core.Solution, error) {
-	if solver != nil {
-		return m.eng.SolveWith(ctx, in, solver)
-	}
-	return m.eng.Solve(ctx, in)
-}
-
 // CreateSpec is the one session-creation surface: everything optional about
 // a new session in a single value.
 type CreateSpec struct {
@@ -317,7 +303,7 @@ func (m *Manager) CreateWith(ctx context.Context, in *core.Instance, spec Create
 	m.mu.Unlock()
 	defer m.creating.Done()
 
-	sol, err := m.solveWith(ctx, in, spec.Solver)
+	sol, err := m.eng.SolveWith(ctx, in, spec.Solver)
 	if err != nil {
 		return Snapshot{}, nil, err
 	}
@@ -411,7 +397,6 @@ func (m *Manager) Apply(id string, events []Event) (ApplyResult, error) {
 		return ApplyResult{}, err
 	}
 	res, err := s.apply(m.now(), events)
-	m.events.Add(uint64(len(res.Results)))
 	for _, r := range res.Results {
 		switch r.Type {
 		case EventJoin:
@@ -766,7 +751,7 @@ func (m *Manager) repairDelta(ctx context.Context, s *Session, base core.Solver)
 		}
 		// Warm solvers depend on this session's incumbent and sub-instances
 		// are single components already: run them uncached and undecomposed
-		// so the engine's cache and coalescer never see them.
+		// so they get no cache entry and no flight.
 		solvers[i] = engine.Uncached{S: sv}
 	}
 	s.mu.Unlock()
@@ -774,7 +759,7 @@ func (m *Manager) repairDelta(ctx context.Context, s *Session, base core.Solver)
 	m.repRuns.Add(1)
 	m.repWarm.Add(uint64(warmed))
 	m.repCold.Add(uint64(len(dirty) - warmed))
-	sctx, cancel := context.WithTimeout(ctx, m.repairTimeout)
+	sctx, cancel := context.WithTimeout(ctx, repairTimeout)
 	sols, err := m.eng.SolveBatchEach(sctx, ins, solvers)
 	cancel()
 	if err != nil {
@@ -830,8 +815,8 @@ func (m *Manager) repairWhole(ctx context.Context, s *Session, base core.Solver)
 	} else {
 		m.repCold.Add(1)
 	}
-	sctx, cancel := context.WithTimeout(ctx, m.repairTimeout)
-	sol, err := m.solveWith(sctx, snap, solver)
+	sctx, cancel := context.WithTimeout(ctx, repairTimeout)
+	sol, err := m.eng.SolveWith(sctx, snap, solver)
 	cancel()
 	if err != nil {
 		m.repErrors.Add(1)
@@ -916,25 +901,26 @@ func (m *Manager) commitRepair(s *Session, version uint64, current, resolved flo
 // Stats returns a point-in-time snapshot of the manager's counters. It
 // takes the table lock only to read Live.
 func (m *Manager) Stats() Stats {
-	return Stats{
-		Live:          m.Len(),
-		Created:       m.created.Load(),
-		Restored:      m.restored.Load(),
-		Rejected:      m.rejected.Load(),
-		Evicted:       m.evicted.Load(),
-		Deleted:       m.deleted.Load(),
-		EventsApplied: m.events.Load(),
-		Joins:         m.joins.Load(),
-		Leaves:        m.leaves.Load(),
-		Updates:       m.updates.Load(),
-		Rebalances:    m.rebals.Load(),
-		RepairRuns:    m.repRuns.Load(),
-		RepairSwaps:   m.repSwaps.Load(),
-		RepairKeeps:   m.repKeeps.Load(),
-		RepairStale:   m.repStale.Load(),
-		RepairErrors:  m.repErrors.Load(),
-		RepairSkips:   m.repSkips.Load(),
-		RepairWarm:    m.repWarm.Load(),
-		RepairCold:    m.repCold.Load(),
+	st := Stats{
+		Live:         m.Len(),
+		Created:      m.created.Load(),
+		Restored:     m.restored.Load(),
+		Rejected:     m.rejected.Load(),
+		Evicted:      m.evicted.Load(),
+		Deleted:      m.deleted.Load(),
+		Joins:        m.joins.Load(),
+		Leaves:       m.leaves.Load(),
+		Updates:      m.updates.Load(),
+		Rebalances:   m.rebals.Load(),
+		RepairRuns:   m.repRuns.Load(),
+		RepairSwaps:  m.repSwaps.Load(),
+		RepairKeeps:  m.repKeeps.Load(),
+		RepairStale:  m.repStale.Load(),
+		RepairErrors: m.repErrors.Load(),
+		RepairSkips:  m.repSkips.Load(),
+		RepairWarm:   m.repWarm.Load(),
+		RepairCold:   m.repCold.Load(),
 	}
+	st.EventsApplied = st.Joins + st.Leaves + st.Updates + st.Rebalances
+	return st
 }

@@ -92,11 +92,17 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// Defaults for Options zero values.
+// DefaultSyncInterval is the fsync cadence when Options.SyncInterval is zero.
+const DefaultSyncInterval = 100 * time.Millisecond
+
 const (
-	DefaultSyncInterval = 100 * time.Millisecond
-	DefaultShards       = 4
-	DefaultQueueDepth   = 256
+	// writerShards is the writer-goroutine count; sessions hash onto
+	// shards, so per-session op order is preserved.
+	writerShards = 4
+	// queueDepth is each shard's buffered op queue. A full queue
+	// backpressures the serving path (the durability contract beats
+	// unbounded memory).
+	queueDepth = 256
 )
 
 // Options configures a Store.
@@ -108,13 +114,6 @@ type Options struct {
 	// SyncInterval is the dirty-log fsync cadence under SyncInterval
 	// (default DefaultSyncInterval).
 	SyncInterval time.Duration
-	// Shards is the writer-goroutine count; sessions hash onto shards, so
-	// per-session op order is preserved. Default DefaultShards.
-	Shards int
-	// QueueDepth is each shard's buffered op queue. A full queue
-	// backpressures the serving path (the durability contract beats
-	// unbounded memory). Default DefaultQueueDepth.
-	QueueDepth int
 }
 
 // Store is the durable session store. Open with Open, attach to a
@@ -252,12 +251,6 @@ func Open(opts Options) (*Store, error) {
 	if opts.Backend == nil {
 		return nil, fmt.Errorf("store: Options.Backend is required")
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = DefaultQueueDepth
-	}
 	if opts.SyncInterval <= 0 {
 		opts.SyncInterval = DefaultSyncInterval
 	}
@@ -265,11 +258,11 @@ func Open(opts Options) (*Store, error) {
 		backend: opts.Backend,
 		policy:  opts.Sync,
 		every:   opts.SyncInterval,
-		shards:  make([]*shard, opts.Shards),
+		shards:  make([]*shard, writerShards),
 	}
 	for i := range s.shards {
 		sh := &shard{
-			ch:   make(chan op, opts.QueueDepth),
+			ch:   make(chan op, queueDepth),
 			done: make(chan struct{}),
 			logs: make(map[string]*openLog),
 		}

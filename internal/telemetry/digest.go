@@ -5,11 +5,10 @@ import (
 	"sort"
 )
 
-// DefaultCompression is the digest compression used when NewDigest is given
-// a non-positive value. At 128 the sketch holds at most a few hundred
-// centroids and keeps rank error well inside 1% at the tails — the accuracy
-// bound the unit tests pin against exact sorted quantiles.
-const DefaultCompression = 128
+// compression is the digest's δ. At 128 the sketch holds at most a few
+// hundred centroids and keeps rank error well inside 1% at the tails — the
+// accuracy bound the unit tests pin against exact sorted quantiles.
+const compression = 128
 
 // bufferFactor sizes the unsorted insertion buffer relative to the
 // compression: larger buffers amortize the sort+merge pass over more Adds.
@@ -33,26 +32,20 @@ type centroid struct {
 //
 // A Digest is not safe for concurrent use; Window serializes access.
 type Digest struct {
-	compression float64
-	centroids   []centroid
-	buf         []float64
-	pending     []centroid // centroids absorbed via Merge, awaiting a compact
-	count       float64
-	sum         float64
-	min, max    float64
+	centroids []centroid
+	buf       []float64
+	pending   []centroid // centroids absorbed via Merge, awaiting a compact
+	count     float64
+	sum       float64
+	min, max  float64
 }
 
-// NewDigest returns an empty digest. Non-positive compression means
-// DefaultCompression.
-func NewDigest(compression float64) *Digest {
-	if compression <= 0 {
-		compression = DefaultCompression
-	}
+// NewDigest returns an empty digest.
+func NewDigest() *Digest {
 	return &Digest{
-		compression: compression,
-		buf:         make([]float64, 0, int(bufferFactor*compression)),
-		min:         math.Inf(1),
-		max:         math.Inf(-1),
+		buf: make([]float64, 0, bufferFactor*compression),
+		min: math.Inf(1),
+		max: math.Inf(-1),
 	}
 }
 
@@ -151,7 +144,7 @@ func (d *Digest) compact() {
 	// k1 scale: k(q) = (δ/2π)·asin(2q−1). A cluster may span [q0, q1] only
 	// while k(q1) − k(q0) ≤ 1, which keeps tail clusters tiny and middle
 	// clusters wide.
-	norm := d.compression / (2 * math.Pi)
+	norm := compression / (2 * math.Pi)
 	k := func(q float64) float64 { return norm * math.Asin(clamp(2*q-1, -1, 1)) }
 
 	out := make([]centroid, 0, len(d.centroids)+1)

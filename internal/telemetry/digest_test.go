@@ -87,7 +87,7 @@ func adversarialDistributions(n int) map[string][]float64 {
 // adversarial distribution.
 func TestDigestAccuracy(t *testing.T) {
 	for name, xs := range adversarialDistributions(20000) {
-		d := NewDigest(0)
+		d := NewDigest()
 		for _, x := range xs {
 			d.Add(x)
 		}
@@ -104,7 +104,7 @@ func TestDigestAccuracy(t *testing.T) {
 // the exact empirical fraction ≤ x at several probe points.
 func TestDigestCDFAccuracy(t *testing.T) {
 	for name, xs := range adversarialDistributions(20000) {
-		d := NewDigest(0)
+		d := NewDigest()
 		for _, x := range xs {
 			d.Add(x)
 		}
@@ -127,7 +127,7 @@ func TestDigestCDFAccuracy(t *testing.T) {
 // singleton, and the CDF between two distinct samples is exactly the
 // fraction at or below the left one — no interpolation smear.
 func TestDigestSingletonCDFExact(t *testing.T) {
-	d := NewDigest(0)
+	d := NewDigest()
 	d.Add(0.05)
 	d.Add(0.2)
 	if got := d.CDF(0.1); got != 0.5 {
@@ -144,7 +144,7 @@ func TestDigestSingletonCDFExact(t *testing.T) {
 }
 
 func TestDigestCountSumMinMax(t *testing.T) {
-	d := NewDigest(0)
+	d := NewDigest()
 	if d.Count() != 0 || d.Sum() != 0 || d.Min() != 0 || d.Max() != 0 || d.Quantile(0.5) != 0 || d.CDF(1) != 0 {
 		t.Fatal("empty digest must read as zero everywhere")
 	}
@@ -179,7 +179,7 @@ func TestDigestCountSumMinMax(t *testing.T) {
 func TestDigestMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var all []float64
-	a, b := NewDigest(0), NewDigest(0)
+	a, b := NewDigest(), NewDigest()
 	for i := 0; i < 10000; i++ {
 		x := math.Exp(rng.NormFloat64())
 		all = append(all, x)
@@ -201,7 +201,7 @@ func TestDigestMerge(t *testing.T) {
 }
 
 func TestDigestReset(t *testing.T) {
-	d := NewDigest(0)
+	d := NewDigest()
 	for i := 0; i < 100; i++ {
 		d.Add(float64(i))
 	}

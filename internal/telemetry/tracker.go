@@ -17,9 +17,6 @@ type TrackerOptions struct {
 	// Buckets is the rotation granularity per series. Zero means
 	// DefaultWindowBuckets.
 	Buckets int
-	// Compression is the per-bucket digest compression. Zero means
-	// DefaultCompression.
-	Compression float64
 }
 
 // Tracker is the named-series registry: one sliding Window per latency
@@ -29,10 +26,9 @@ type TrackerOptions struct {
 // "repair". All methods are safe for concurrent use; reads of a series that
 // never recorded report zero.
 type Tracker struct {
-	clock       Clock
-	width       time.Duration
-	buckets     int
-	compression float64
+	clock   Clock
+	width   time.Duration
+	buckets int
 
 	mu     sync.RWMutex
 	series map[string]*Window
@@ -50,11 +46,10 @@ func NewTracker(o TrackerOptions) *Tracker {
 		o.Buckets = DefaultWindowBuckets
 	}
 	return &Tracker{
-		clock:       o.Clock,
-		width:       o.Width,
-		buckets:     o.Buckets,
-		compression: o.Compression,
-		series:      make(map[string]*Window),
+		clock:   o.Clock,
+		width:   o.Width,
+		buckets: o.Buckets,
+		series:  make(map[string]*Window),
 	}
 }
 
@@ -75,7 +70,7 @@ func (t *Tracker) window(name string, width time.Duration) *Window {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if w = t.series[name]; w == nil {
-		w = NewWindow(WindowOptions{Width: width, Buckets: t.buckets, Compression: t.compression, Clock: t.clock})
+		w = NewWindow(WindowOptions{Width: width, Buckets: t.buckets, Clock: t.clock})
 		t.series[name] = w
 	}
 	return w
@@ -94,7 +89,7 @@ func (t *Tracker) Ensure(name string, minWidth time.Duration) {
 	if w := t.series[name]; w != nil && w.Width() >= minWidth {
 		return
 	}
-	t.series[name] = NewWindow(WindowOptions{Width: minWidth, Buckets: t.buckets, Compression: t.compression, Clock: t.clock})
+	t.series[name] = NewWindow(WindowOptions{Width: minWidth, Buckets: t.buckets, Clock: t.clock})
 }
 
 // Record adds one latency sample to the named series.

@@ -20,9 +20,6 @@ type WindowOptions struct {
 	// Width/Buckets-wide digests, so old samples expire one bucket at a
 	// time. Zero means DefaultWindowBuckets.
 	Buckets int
-	// Compression is the per-bucket digest compression. Zero means
-	// DefaultCompression.
-	Compression float64
 	// Clock supplies time. Nil means SystemClock.
 	Clock Clock
 }
@@ -44,7 +41,6 @@ type Window struct {
 	clock       Clock
 	width       time.Duration
 	bucketWidth time.Duration
-	compression float64
 
 	mu    sync.Mutex
 	slots []bucket
@@ -80,7 +76,6 @@ func NewWindow(o WindowOptions) *Window {
 		clock:       o.Clock,
 		width:       o.Width,
 		bucketWidth: o.Width / time.Duration(o.Buckets),
-		compression: o.Compression,
 		// One extra slot beyond Buckets, so a full-width read still has a
 		// distinct slot for every covered bucket while the current (partial)
 		// bucket is being written.
@@ -90,7 +85,7 @@ func NewWindow(o WindowOptions) *Window {
 		w.bucketWidth = time.Nanosecond
 	}
 	for i := range w.slots {
-		w.slots[i] = bucket{seq: -1, d: NewDigest(o.Compression)}
+		w.slots[i] = bucket{seq: -1, d: NewDigest()}
 	}
 	return w
 }
@@ -124,7 +119,7 @@ func (w *Window) merged(over time.Duration) *Digest {
 		over = w.width
 	}
 	n := int64((over + w.bucketWidth - 1) / w.bucketWidth)
-	out := NewDigest(w.compression)
+	out := NewDigest()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	seq := w.seqAt(w.clock.Now())

@@ -32,7 +32,7 @@ type (
 	// SessionPersister over a Backend and rebuilds sessions with Recover.
 	SessionStore = store.Store
 	// SessionStoreOptions configures OpenSessionStore: backend, fsync
-	// policy, writer shards and queue depth.
+	// policy and fsync interval.
 	SessionStoreOptions = store.Options
 	// SessionStoreStats is the store's counter snapshot (appends, fsyncs,
 	// snapshots, compactions, recovery outcomes).

@@ -54,8 +54,9 @@
 // Engine is the concurrent batch-solving layer: it splits instances into the
 // connected components of their social networks, solves components in
 // parallel on a worker pool under context cancellation, merges the parts
-// back (objective-preserving) and memoizes repeated instances behind a
-// fingerprint-keyed LRU cache. See NewEngine.
+// back (objective-preserving), memoizes repeated instances behind a
+// fingerprint-keyed LRU cache and runs identical concurrent calls once.
+// See NewEngine.
 //
 // # Serving over the network
 //
@@ -65,13 +66,13 @@
 // rejected, never dropped), an optional per-request "algo" + "params"
 // selection resolving any registered solver (GET /v1/algorithms lists them
 // with parameter schemas), bounded in-flight admission control (429 +
-// Retry-After under overload), per-request deadlines (?timeout=...),
-// request coalescing keyed on (instance fingerprint, solver identity) for
-// flash crowds, and graceful drain on shutdown. GET /healthz and /v1/stats
-// expose liveness and the engine/admission/coalescing counters, split per
-// algorithm. Command svgicload is its load generator: it launches svgicd as
-// a child and drives it (optionally mixing algorithms with -algo
-// avgd,per,avg).
+// Retry-After under overload), per-request deadlines (?timeout=...), the
+// engine's request coalescing keyed on (instance fingerprint, solver
+// identity) for flash crowds, and graceful drain on shutdown. GET /healthz
+// and /v1/stats expose liveness and the engine/admission/coalescing
+// counters, split per algorithm. Command svgicload is its load generator:
+// it launches svgicd as a child and drives it (optionally mixing algorithms
+// with -algo avgd,per,avg).
 //
 // # Live sessions
 //
