@@ -20,7 +20,7 @@ type cacheKey struct {
 type flight struct {
 	done    chan struct{}
 	joiners int            // raised under lruCache.mu until land unregisters the flight
-	sol     *core.Solution // set before done closes iff a success has a reader; never mutated after
+	sol     *core.Solution // immutable clone of a success, shared by the cache and joiners; set before done closes
 	err     error
 }
 
