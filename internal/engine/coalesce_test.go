@@ -108,6 +108,65 @@ func TestCoalescerCollapsesConcurrentDuplicates(t *testing.T) {
 	}
 }
 
+// TestCoalescerJoinersWithCacheOn: with the cache on, the leader's one clone
+// is both the cache entry and the joiners' source. Each joiner still gets its
+// own copy, so no caller's mutation reaches another caller or a later hit.
+func TestCoalescerJoinersWithCacheOn(t *testing.T) {
+	const n = 3
+	gate := make(chan struct{})
+	var runs atomic.Int64
+	e := New(Options{
+		Workers:   1,
+		CacheSize: 8,
+		NewSolver: func() core.Solver {
+			return &gateSolver{gate: gate, runs: &runs, inner: &core.AVGDSolver{}}
+		},
+	})
+	defer e.Close()
+	in := multiComponentInstance(15, 1, 5, 10, 2, 0.5)
+	want, _, err := core.SolveAVGD(in, core.AVGDOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sols := make([]*core.Solution, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sols[i], errs[i] = e.Solve(context.Background(), in)
+		}()
+	}
+	waitFor(t, "leader to start", func() bool { return runs.Load() == 1 })
+	waitFor(t, "followers to join", func() bool { return e.Stats().Joins == n-1 })
+	close(gate)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		sols[i].Config.Assign[0][0] = -100 - i
+	}
+	for i, sol := range sols {
+		if got := sol.Config.Assign[0][0]; got != -100-i {
+			t.Fatalf("request %d shares memory with another caller: item %d", i, got)
+		}
+	}
+	hit, err := e.Solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hit.Config.Assign[0][0]; got != want.Assign[0][0] {
+		t.Fatalf("cache hit serves item %d, want %d: a caller's mutation reached the entry", got, want.Assign[0][0])
+	}
+	if st := e.Stats(); st.Solved != 1 || st.CacheMisses != 1 || st.CacheHits != 1 || st.Joins != n-1 {
+		t.Errorf("stats = %+v, want 1 solved, 1 miss, 1 hit and %d joins", st, n-1)
+	}
+}
+
 // TestCoalescerFollowerHonorsOwnContext: a parked follower can give up on
 // its own deadline without disturbing the leader.
 func TestCoalescerFollowerHonorsOwnContext(t *testing.T) {
