@@ -65,7 +65,7 @@ func (c *lruCache) lookup(key cacheKey) (hit *core.Solution, f *flight, lead boo
 		// pointer grab, not the O(n·k) copy.
 		return sol.Clone(), nil, false
 	}
-	if f, ok := c.flights[key]; ok {
+	if f = c.flights[key]; f != nil {
 		f.joiners++
 		c.mu.Unlock()
 		return nil, f, false
