@@ -323,8 +323,11 @@ func coerce(ps ParamSpec, raw any) (any, error) {
 		case uint64:
 			return int(v), nil
 		case float64:
-			if v != math.Trunc(v) || math.IsInf(v, 0) || math.IsNaN(v) {
-				return nil, fmt.Errorf("want an integer, got %v", v)
+			// Converting a float outside the integer type's range gives an
+			// implementation-defined value, so check the range first (which
+			// also rejects ±Inf; NaN fails the Trunc comparison).
+			if v != math.Trunc(v) || v < math.MinInt || v >= -math.MinInt {
+				return nil, fmt.Errorf("want an integer in [%d, %d], got %v", math.MinInt, math.MaxInt, v)
 			}
 			return int(v), nil
 		}
@@ -345,8 +348,8 @@ func coerce(ps ParamSpec, raw any) (any, error) {
 			}
 			return uint64(v), nil
 		case float64:
-			if v != math.Trunc(v) || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-				return nil, fmt.Errorf("want a non-negative integer, got %v", v)
+			if v != math.Trunc(v) || v < 0 || v >= math.MaxUint64+1 {
+				return nil, fmt.Errorf("want a non-negative integer below 2^64, got %v", v)
 			}
 			return uint64(v), nil
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,15 @@ func TestNewValidatesParams(t *testing.T) {
 		{"wrong type", "avgd", registry.Params{"r": "high"}, "want float"},
 		{"non-integral int", "avg", registry.Params{"repeats": 2.5}, "integer"},
 		{"negative uint", "avg", registry.Params{"seed": -3}, "non-negative"},
+		// JSON numbers arrive as float64; out of range they must not wrap
+		// (lpPolish would turn negative and disable polish, and distinct
+		// seeds would share one cache key).
+		{"int above range", "avgd", registry.Params{"lpPolish": 1e19}, "integer in"},
+		{"int far above range", "avgd", registry.Params{"lpPolish": 2e19}, "integer in"},
+		{"int below range", "avgd", registry.Params{"lpPolish": -1e19}, "integer in"},
+		{"uint above range", "avg", registry.Params{"seed": 1e20}, "below 2^64"},
+		{"uint far above range", "avg", registry.Params{"seed": 3e20}, "below 2^64"},
+		{"uint at 2^64", "avg", registry.Params{"seed": float64(math.MaxUint64)}, "below 2^64"},
 		{"bad duration", "ip", registry.Params{"timeLimit": "soon"}, "duration"},
 		{"range check", "avgd", registry.Params{"sizeCap": -2}, "sizeCap"},
 		{"bad strategy", "ip", registry.Params{"strategy": "quantum"}, "strategy"},
