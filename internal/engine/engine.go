@@ -98,7 +98,7 @@ type AlgoStats struct {
 // retries of errored solves miss the cache again. The metric tags name the
 // svgicd /metrics family of each exported counter (see server/metrics.go).
 type Stats struct {
-	Solves           uint64 `json:"solves" metric:"svgicd_engine_solves_total" help:"Solve requests reaching the engine."`
+	Solves           uint64 `json:"solves" metric:"svgicd_engine_solves_total" help:"Solve calls that joined no in-flight solve: cache hits, solved, canceled and errors."`
 	Batches          uint64 `json:"batches" metric:"svgicd_engine_batches_total" help:"Batch solve calls."`
 	ComponentsSolved uint64 `json:"componentsSolved" metric:"svgicd_engine_components_solved_total" help:"Independently solved social-network components."`
 	CacheHits        uint64 `json:"cacheHits" metric:"svgicd_engine_cache_hits_total" help:"Solves answered from the result cache."`
@@ -129,7 +129,7 @@ type Stats struct {
 // joiner that goes around after its leader's cancellation counts again
 // where its retry ends).
 type CoalesceStats struct {
-	Leads uint64 `json:"leads" metric:"svgicd_coalesce_leads_total" help:"Coalesced flights that ran the engine."`
+	Leads uint64 `json:"leads" metric:"svgicd_coalesce_leads_total" help:"Solve calls that joined no in-flight solve (equals svgicd_engine_solves_total)."`
 	Joins uint64 `json:"joins" metric:"svgicd_coalesce_joins_total" help:"Requests answered by joining an in-flight solve."`
 }
 
