@@ -30,14 +30,19 @@ test-short:
 # keeps its Fingerprint through a marshal round trip. FuzzReadFrames feeds
 # arbitrary bytes to the WAL frame reader and checks that the frames it
 # returns re-frame to a prefix of the input, which is the whole input unless
-# a tear is reported at its end. A failing input is saved under the
-# package's testdata/fuzz/, where plain `go test` replays it.
+# a tear is reported at its end. FuzzResolveSolver resolves arbitrary
+# "algo", "params" and size-cap selections the way solves, batch items,
+# session creates and recovery do, and checks that an error comes with no
+# solver, that two calls agree on the solver key, and that a capped solver's
+# key carries the cap. A failing input is saved under the package's
+# testdata/fuzz/, where plain `go test` replays it.
 fuzz:
 	$(GO) test ./internal/lp -run='^$$' -fuzz='^FuzzProjectCappedSimplex$$' -fuzztime=10s
 	$(GO) test ./internal/session -run='^$$' -fuzz='^FuzzSessionApply$$' -fuzztime=10s
 	$(GO) test ./internal/telemetry -run='^$$' -fuzz='^FuzzParseObjectives$$' -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzUnmarshalInstanceStrict$$' -fuzztime=10s
 	$(GO) test ./internal/store -run='^$$' -fuzz='^FuzzReadFrames$$' -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzResolveSolver$$' -fuzztime=10s
 
 # Benchmark smoke: one iteration of every benchmark, no tests.
 bench:

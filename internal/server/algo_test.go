@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -386,4 +387,62 @@ func TestLPDeadlineFreesWorker(t *testing.T) {
 	if resp, data := postJSON(t, ts.URL+"/v1/solve?timeout=30s", withAlgo(t, small, "avgd", "")); resp.StatusCode != http.StatusOK {
 		t.Fatalf("follow-up solve on the same worker: status %d: %s", resp.StatusCode, data)
 	}
+}
+
+// FuzzResolveSolver feeds arbitrary selections through the "algo"/"params"
+// trust boundary that solves, batch items, session creates and recovery
+// share. Resolution must not panic, an error must come with no solver, two
+// calls must agree (both nil, or equal solver keys), and a solver resolved
+// under a size cap must carry that cap in its key.
+func FuzzResolveSolver(f *testing.F) {
+	for _, seed := range []struct {
+		algo, params string
+		sizeCap      int
+	}{
+		{"", "", 0},
+		{"avgd", "", 0},
+		{"", `{"r": 0.5}`, 0},
+		{"AVGD", `{"lpPolish": 3}`, 0},
+		{"gurobi", "", 0},
+		{"avg", `[1, 2]`, 0},
+		{"per", "", 2},
+		{"avgd", `{"sizeCap": 3}`, 2},
+		{"avgd", `{"sizeCap": 2}`, 2},
+		{"avgd", `null`, 2},
+		{"avgd", `{"lpPolish": 1e19}`, 0},
+		{"avgd", `{"lpPolish": -1e19}`, 0},
+		{"avg", `{"seed": 1e20}`, 0},
+		{"avg", `{"seed": 18446744073709551615}`, 0},
+	} {
+		f.Add(seed.algo, []byte(seed.params), seed.sizeCap)
+	}
+	eng := engine.New(engine.Options{Workers: 1})
+	defer eng.Close()
+	srv, err := New(Options{Engine: eng, DefaultParams: registry.Params{"r": 1.0}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := func(s core.Solver) string {
+		if s == nil {
+			return "<nil>"
+		}
+		return engine.SolverKey(s)
+	}
+	f.Fuzz(func(t *testing.T, algo string, params []byte, sizeCap int) {
+		a, errA := srv.resolveSolver(algo, params, sizeCap)
+		b, errB := srv.resolveSolver(algo, params, sizeCap)
+		if (errA != nil || errB != nil) && (a != nil || b != nil) {
+			t.Fatalf("resolveSolver(%q, %q, %d) returned a solver with an error", algo, params, sizeCap)
+		}
+		if (errA == nil) != (errB == nil) || key(a) != key(b) {
+			t.Fatalf("resolveSolver(%q, %q, %d) disagrees with itself: %s (%v) then %s (%v)",
+				algo, params, sizeCap, key(a), errA, key(b), errB)
+		}
+		if errA == nil && sizeCap > 0 {
+			k, want := key(a), fmt.Sprintf("sizeCap=%d", sizeCap)
+			if !strings.Contains(k, want+",") && !strings.Contains(k, want+"}") {
+				t.Fatalf("resolveSolver(%q, %q, %d) = %s, want %s in the key", algo, params, sizeCap, k, want)
+			}
+		}
+	})
 }

@@ -153,7 +153,7 @@ func TestKillRestartServesIdenticalState(t *testing.T) {
 
 				// Ground truth: solve through an identically configured
 				// engine path and replay the full recorded trace offline.
-				solver, err := d2.srv.resolveSessionSolver(tr.algo, nil, tr.cap)
+				solver, err := d2.srv.resolveSolver(tr.algo, nil, tr.cap)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -53,12 +53,11 @@ func goldenTraffic(t *testing.T) *httptest.Server {
 	t.Cleanup(mgr.Close)
 	obj, tr, clk := sloObjective(t)
 	srv, err := New(Options{
-		Engine:       eng,
-		Sessions:     mgr,
-		Store:        st,
-		Telemetry:    tr,
-		SLOs:         []telemetry.Objective{obj},
-		SLOEvalEvery: time.Nanosecond,
+		Engine:    eng,
+		Sessions:  mgr,
+		Store:     st,
+		Telemetry: tr,
+		SLOs:      []telemetry.Objective{obj},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +87,7 @@ func goldenTraffic(t *testing.T) *httptest.Server {
 	solve("per", false)
 	solve("ip", false)
 	burnSolve(tr, 10, 200*time.Millisecond)
-	clk.Advance(10 * time.Millisecond)
+	clk.Advance(250 * time.Millisecond)
 	solve("ip", true)
 
 	var create CreateSessionRequest

@@ -162,10 +162,6 @@ var (
 )
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	st := s.StatsSnapshot()
 	e := exposition{fams: make(map[string]*family)}
 	e.walk(reflect.ValueOf(st), "")

@@ -35,6 +35,13 @@
 //	GET    /metrics                the tagged /v1/stats counters plus computed gauges
 //	                               (mean solve time, SLO and latency), Prometheus text
 //
+// Every route is registered once, with a method pattern, so a wrong method
+// gets the mux's 405 before anything else runs. Each admitted route goes
+// through one wrapper, route: it admits the request (answering 429 or 503
+// itself), times it into the route's latency series and releases the
+// admission token when the handler returns. /v1/algorithms, /v1/stats,
+// /metrics and /healthz are not admitted.
+//
 // The /v1/sessions endpoints are the live-session subsystem (the paper's
 // Extension F as a serving path): ID-keyed versioned sessions over a
 // session.Manager with serialized event application, bounded admission, TTL
@@ -54,7 +61,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -144,12 +153,6 @@ type Options struct {
 	// and /metrics) but disables the feedback: no degrading, no adaptive
 	// shedding.
 	NoAdaptiveAdmission bool
-	// SLOEvalEvery, SLOEscalateAfter, SLOMinDwell and SLOShedFactor tune the
-	// admission controller; zeros mean the telemetry package defaults.
-	SLOEvalEvery     time.Duration
-	SLOEscalateAfter time.Duration
-	SLOMinDwell      time.Duration
-	SLOShedFactor    float64
 }
 
 // Server is the svgicd HTTP handler. Create with New, stop with Shutdown.
@@ -228,12 +231,8 @@ func New(opts Options) (*Server, error) {
 	}
 	if len(opts.SLOs) > 0 {
 		ctrl, err := telemetry.NewController(telemetry.ControllerOptions{
-			Tracker:       opts.Telemetry,
-			Objectives:    opts.SLOs,
-			EvalEvery:     opts.SLOEvalEvery,
-			EscalateAfter: opts.SLOEscalateAfter,
-			MinDwell:      opts.SLOMinDwell,
-			ShedFactor:    opts.SLOShedFactor,
+			Tracker:    opts.Telemetry,
+			Objectives: opts.SLOs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: slo controller: %w", err)
@@ -268,18 +267,33 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/solve", s.handleSolve)
-	s.mux.HandleFunc("/v1/solve/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("/v1/algorithms", s.handleAlgorithms)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/events", s.handleSessionEvents)
-	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionGet)
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
+	s.route("POST /v1/solve", routeSolve, s.handleSolve)
+	s.route("POST /v1/solve/batch", routeBatch, s.handleBatch)
+	s.route("POST /v1/evaluate", routeEvaluate, s.handleEvaluate)
+	s.route("POST /v1/sessions", routeSessionCreate, s.handleSessionCreate)
+	s.route("POST /v1/sessions/{id}/events", routeSessionEvents, s.handleSessionEvents)
+	s.route("GET /v1/sessions/{id}", routeSessionGet, s.handleSessionGet)
+	s.route("DELETE /v1/sessions/{id}", routeSessionGet, s.handleSessionDelete)
+	s.mux.HandleFunc("GET /v1/algorithms", s.handleAlgorithms)
+	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s, nil
+}
+
+// route registers an admitted handler: each request is admitted under the
+// series (which also derives its 429 Retry-After hint), timed into that
+// series on the tracker's clock, and released when the handler returns.
+func (s *Server) route(pattern, series string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if !s.admit(w, series) {
+			return
+		}
+		defer s.release()
+		start := s.tel.Now()
+		defer func() { s.tel.Record(series, s.tel.Now().Sub(start)) }()
+		h(w, r)
+	})
 }
 
 // Sessions returns the live-session manager serving /v1/sessions.
@@ -375,16 +389,24 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// resolveSolver maps a request's algorithm selection to a solver. A request
-// with neither "algo" nor "params" returns nil: it runs the engine's default
-// solver (whatever svgicd configured), which keeps a bare InstanceJSON body
-// a valid request. "params" without "algo" parameterizes the server's
-// default algorithm. Requests naming the default algorithm start from
-// Options.DefaultParams (the server's flag-derived configuration) with the
-// request's "params" overlaid, so explicit and bare requests resolve the
-// same solver.
-func (s *Server) resolveSolver(algo string, raw json.RawMessage) (core.Solver, error) {
-	if algo == "" && len(raw) == 0 {
+// resolveSolver maps an algorithm selection to a solver: a request's "algo"
+// and "params", a session create's size cap, or a recovered session's
+// persisted SolverRef and cap. A selection with no algo, no params and no
+// cap returns nil: it runs the engine's default solver (whatever svgicd
+// configured), which keeps a bare InstanceJSON body a valid request.
+// "params" without "algo" parameterizes the server's default algorithm.
+// Selections naming the default algorithm start from Options.DefaultParams
+// (the server's flag-derived configuration) with "params" overlaid, so
+// explicit and bare requests resolve the same solver.
+//
+// A sizeCap > 0 is a capped session's subgroup bound, and its solver must
+// solve the same capped problem the event path maintains: the algorithm
+// needs a sizeCap parameter, a "params".sizeCap must equal the cap, and the
+// cap is set when absent. A cap-incapable algorithm (e.g. "per") is an
+// error, because its initial solve and every drift-repair re-solve would
+// silently violate the bound.
+func (s *Server) resolveSolver(algo string, raw json.RawMessage, sizeCap int) (core.Solver, error) {
+	if algo == "" && len(raw) == 0 && sizeCap <= 0 {
 		return nil, nil
 	}
 	// Normalize before comparing with DefaultAlgo: registry lookup is
@@ -394,69 +416,76 @@ func (s *Server) resolveSolver(algo string, raw json.RawMessage) (core.Solver, e
 	if algo == "" {
 		algo = s.opts.DefaultAlgo
 	}
-	var params registry.Params
-	if algo == s.opts.DefaultAlgo && len(s.opts.DefaultParams) > 0 {
-		params = make(registry.Params, len(s.opts.DefaultParams))
-		for k, v := range s.opts.DefaultParams {
-			params[k] = v
+	// An unknown algorithm skips the cap checks; registry.New names it.
+	capped := false
+	if sizeCap > 0 {
+		spec, known := registry.Lookup(algo)
+		if known && !slices.ContainsFunc(spec.Params, func(p registry.ParamSpec) bool { return p.Name == "sizeCap" }) {
+			return nil, fmt.Errorf("algorithm %q has no sizeCap parameter: it cannot solve the capped problem a sizeCap=%d session maintains", algo, sizeCap)
 		}
+		capped = known
+	}
+	params := registry.Params{}
+	if algo == s.opts.DefaultAlgo {
+		maps.Copy(params, s.opts.DefaultParams)
 	}
 	if len(raw) > 0 {
 		var req registry.Params
 		if err := json.Unmarshal(raw, &req); err != nil {
 			return nil, fmt.Errorf(`"params" must be an object: %v`, err)
 		}
-		if params == nil {
-			params = req
-		} else {
-			for k, v := range req {
-				params[k] = v
-			}
+		// JSON numbers decode as float64, so an equal cap compares equal.
+		if set, have := req["sizeCap"]; have && capped && set != float64(sizeCap) {
+			return nil, fmt.Errorf(`"params".sizeCap %v conflicts with the session sizeCap %d`, set, sizeCap)
 		}
+		maps.Copy(params, req)
+	}
+	if capped {
+		params["sizeCap"] = sizeCap
 	}
 	return registry.New(algo, params)
 }
 
+// selectSolver resolves a selection and applies the SLO reroute: while the
+// ladder degrades, a selection naming an expensive algorithm gets the
+// DegradeAlgo fallback (under the same cap) instead. ref is the algorithm
+// that will be served, which a session persists as its durable solver
+// identity. The caller notes a degraded request once the whole request has
+// validated, so a rejected request never counts as degraded.
+func (s *Server) selectSolver(algo string, raw json.RawMessage, sizeCap int) (solver core.Solver, ref session.SolverRef, degraded bool, err error) {
+	if solver, err = s.resolveSolver(algo, raw, sizeCap); err != nil {
+		return nil, session.SolverRef{}, false, err
+	}
+	if s.shouldDegrade(algo) {
+		if fallback, ferr := s.resolveSolver(s.opts.DegradeAlgo, nil, sizeCap); ferr == nil {
+			return fallback, session.SolverRef{Name: s.opts.DegradeAlgo}, true, nil
+		}
+	}
+	return solver, session.SolverRef{Name: strings.ToLower(algo), Params: raw}, false, nil
+}
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if !s.admit(w, routeSolve) {
-		return
-	}
-	defer s.release()
-	defer s.observe(routeSolve)()
 	timeout, err := s.requestTimeout(r)
 	if err != nil {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var sr SolveRequest
-	if err := core.DecodeStrict(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &sr); err != nil {
-		s.writeDecodeError(w, "decoding instance", err)
+	if !s.decode(w, r, "decoding instance", &sr) {
 		return
 	}
 	in, err := core.InstanceFromJSON(&sr.InstanceJSON)
 	if err != nil {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	solver, err := s.resolveSolver(sr.Algo, sr.Params)
+	solver, _, degraded, err := s.selectSolver(sr.Algo, sr.Params, 0)
 	if err != nil {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	degraded := false
-	if s.shouldDegrade(sr.Algo) {
-		if fallback, ferr := s.resolveSolver(s.opts.DegradeAlgo, nil); ferr == nil {
-			solver = fallback
-			degraded = true
-			s.noteDegraded(sr.Algo)
-		}
+	if degraded {
+		s.noteDegraded(sr.Algo)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
@@ -472,34 +501,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if !s.admit(w, routeBatch) {
-		return
-	}
-	defer s.release()
-	defer s.observe(routeBatch)()
 	timeout, err := s.requestTimeout(r)
 	if err != nil {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var srs []SolveRequest
-	if err := core.DecodeStrict(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &srs); err != nil {
-		s.writeDecodeError(w, "decoding batch", err)
+	if !s.decode(w, r, "decoding batch", &srs) {
 		return
 	}
 	if len(srs) == 0 {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "empty batch")
+		s.badRequest(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(srs) > s.opts.MaxBatch {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge,
+		s.badRequest(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d exceeds limit %d", len(srs), s.opts.MaxBatch))
 		return
 	}
@@ -508,26 +524,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	degraded := make([]bool, len(srs))
 	for i := range srs {
 		in, err := core.InstanceFromJSON(&srs[i].InstanceJSON)
+		if err == nil {
+			solvers[i], _, degraded[i], err = s.selectSolver(srs[i].Algo, srs[i].Params, 0)
+		}
 		if err != nil {
-			s.badRequests.Add(1)
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("instance %d: %v", i, err))
+			s.badRequest(w, http.StatusBadRequest, fmt.Sprintf("instance %d: %v", i, err))
 			return
 		}
 		ins[i] = in
-		solver, err := s.resolveSolver(srs[i].Algo, srs[i].Params)
-		if err != nil {
-			s.badRequests.Add(1)
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("instance %d: %v", i, err))
-			return
+	}
+	for i := range srs {
+		if degraded[i] {
+			s.noteDegraded(srs[i].Algo)
 		}
-		if s.shouldDegrade(srs[i].Algo) {
-			if fallback, ferr := s.resolveSolver(s.opts.DegradeAlgo, nil); ferr == nil {
-				solver = fallback
-				degraded[i] = true
-				s.noteDegraded(srs[i].Algo)
-			}
-		}
-		solvers[i] = solver
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
@@ -551,30 +560,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if !s.admit(w, routeEvaluate) {
-		return
-	}
-	defer s.release()
-	defer s.observe(routeEvaluate)()
 	var req EvaluateRequest
-	if err := core.DecodeStrict(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &req); err != nil {
-		s.writeDecodeError(w, "decoding evaluate request", err)
+	if !s.decode(w, r, "decoding evaluate request", &req) {
 		return
 	}
 	in, err := core.InstanceFromJSON(&req.Instance)
 	if err != nil {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	conf := &core.Configuration{Assign: req.Configuration.Assignment, K: req.Configuration.Slots}
 	if err := conf.Validate(in); err != nil {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	rep := core.EvaluateST(in, conf, req.DTel)
@@ -590,10 +587,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 // parameter schemas, so clients can discover what "algo"/"params" accept
 // without a deploy-time contract.
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	specs := registry.Specs()
 	resp := AlgorithmsResponse{
 		Default:    s.opts.DefaultAlgo,
@@ -612,10 +605,6 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
 		return
@@ -624,10 +613,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	writeJSON(w, http.StatusOK, s.StatsSnapshot())
 }
 
@@ -685,18 +670,30 @@ func (s *Server) StatsSnapshot() StatsResponse {
 	return resp
 }
 
-// writeDecodeError maps a request-body decode failure: an oversized body is
-// 413 (the client should not blindly retry a "malformed" 400), everything
-// else — malformed JSON, unknown fields, trailing content — is 400.
-func (s *Server) writeDecodeError(w http.ResponseWriter, what string, err error) {
-	s.badRequests.Add(1)
+// decode reads the request body strictly into v and reports whether it
+// did, answering a failure itself: a body over MaxBodyBytes is 413 (the
+// client should not blindly retry a "malformed" 400), everything else —
+// malformed JSON, unknown fields, trailing content — is 400.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := core.DecodeStrict(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), v)
 	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		writeError(w, http.StatusRequestEntityTooLarge,
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &mbe):
+		s.badRequest(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("%s: request body exceeds %d bytes", what, mbe.Limit))
-		return
+	default:
+		s.badRequest(w, http.StatusBadRequest, what+": "+err.Error())
 	}
-	writeError(w, http.StatusBadRequest, what+": "+err.Error())
+	return false
+}
+
+// badRequest answers a request rejected as malformed, counting it in the
+// badRequests counter whatever its 4xx status.
+func (s *Server) badRequest(w http.ResponseWriter, code int, msg string) {
+	s.badRequests.Add(1)
+	writeError(w, code, msg)
 }
 
 // writeSolveError maps a solve failure to its HTTP status: deadline → 504,

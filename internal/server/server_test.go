@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"github.com/svgic/svgic/internal/core"
 	"github.com/svgic/svgic/internal/datasets"
 	"github.com/svgic/svgic/internal/engine"
+	"github.com/svgic/svgic/internal/telemetry"
 )
 
 // testInstance builds the canonical multi-component workload used across the
@@ -686,5 +688,74 @@ func TestStatsAndLimits(t *testing.T) {
 	badLambda := `{"users":1,"items":2,"slots":1,"lambda":2,"preferences":[[1,0]]}`
 	if resp, _ := postJSON(t, ts.URL+"/v1/solve", []byte(badLambda)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("λ=2: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRoutesAdmitAndTimeOnce covers every route's registration. A wrong
+// method gets the mux's 405, naming the route's method in Allow, and is
+// neither admitted nor timed. Each admitted route lands exactly one sample
+// in its latency series, whatever its status (DELETE in session_get, the
+// series it is admitted under); the unadmitted routes land none.
+func TestRoutesAdmitAndTimeOnce(t *testing.T) {
+	tr := telemetry.NewTracker(telemetry.TrackerOptions{})
+	eng := engine.New(engine.Options{Workers: 1})
+	t.Cleanup(eng.Close)
+	srv, err := New(Options{Engine: eng, Telemetry: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	samples := func() map[string]uint64 {
+		counts := map[string]uint64{}
+		for name, sn := range tr.Snapshot() {
+			counts[name] = sn.Count
+		}
+		return counts
+	}
+
+	for _, rt := range []struct{ method, path, wrong, series string }{
+		{http.MethodPost, "/v1/solve", http.MethodGet, routeSolve},
+		{http.MethodPost, "/v1/solve/batch", http.MethodGet, routeBatch},
+		{http.MethodPost, "/v1/evaluate", http.MethodGet, routeEvaluate},
+		{http.MethodPost, "/v1/sessions", http.MethodGet, routeSessionCreate},
+		{http.MethodPost, "/v1/sessions/nope/events", http.MethodGet, routeSessionEvents},
+		{http.MethodGet, "/v1/sessions/nope", http.MethodPut, routeSessionGet},
+		{http.MethodDelete, "/v1/sessions/nope", http.MethodPost, routeSessionGet},
+		{http.MethodGet, "/v1/algorithms", http.MethodPost, ""},
+		{http.MethodGet, "/v1/stats", http.MethodPost, ""},
+		{http.MethodGet, "/metrics", http.MethodPost, ""},
+		{http.MethodGet, "/healthz", http.MethodPost, ""},
+	} {
+		t.Run(rt.method+" "+rt.path, func(t *testing.T) {
+			var body []byte
+			if rt.method == http.MethodPost {
+				body = []byte(`{}`)
+			}
+			before, admitted := samples(), srv.StatsSnapshot().Server.Admitted
+			resp, data := doJSON(t, rt.wrong, ts.URL+rt.path, body)
+			if resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Fatalf("%s: status %d, want 405: %s", rt.wrong, resp.StatusCode, data)
+			}
+			if allow := resp.Header.Get("Allow"); !strings.Contains(allow, rt.method) {
+				t.Errorf("%s: Allow %q does not name %s", rt.wrong, allow, rt.method)
+			}
+			if got := samples(); !maps.Equal(got, before) || srv.StatsSnapshot().Server.Admitted != admitted {
+				t.Fatalf("%s moved admission or latency: samples %v -> %v", rt.wrong, before, got)
+			}
+
+			doJSON(t, rt.method, ts.URL+rt.path, body)
+			want, wantAdmitted := maps.Clone(before), admitted
+			if rt.series != "" {
+				want[rt.series]++
+				wantAdmitted++
+			}
+			if got := samples(); !maps.Equal(got, want) {
+				t.Errorf("latency samples %v, want %v", got, want)
+			}
+			if got := srv.StatsSnapshot().Server.Admitted; got != wantAdmitted {
+				t.Errorf("admitted = %d, want %d", got, wantAdmitted)
+			}
+		})
 	}
 }

@@ -2,17 +2,14 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/svgic/svgic/internal/core"
 	"github.com/svgic/svgic/internal/engine"
-	"github.com/svgic/svgic/internal/registry"
 	"github.com/svgic/svgic/internal/session"
 )
 
@@ -29,75 +26,24 @@ import (
 // and background drift repair through the engine. The /v1/stats payload
 // carries the manager's counters under "sessions".
 
-// resolveSessionSolver resolves the solver backing a session — both its
-// initial solve and its drift repair. It is resolveSolver plus the cap
-// contract: a capped session's solver must solve the SAME capped problem
-// the event path maintains, so when the request asks for a subgroup size
-// cap the selected algorithm's schema must have a sizeCap parameter — it is
-// injected when absent, and an explicitly conflicting value is rejected. A
-// cap-incapable algorithm (e.g. "per") is a 400: its initial solve and
-// every drift-repair re-solve would silently violate the session's bound.
-func (s *Server) resolveSessionSolver(algo string, raw json.RawMessage, sizeCap int) (core.Solver, error) {
-	if sizeCap > 0 {
-		name := strings.ToLower(algo)
-		if name == "" {
-			name = s.opts.DefaultAlgo
-		}
-		spec, ok := registry.Lookup(name)
-		if ok {
-			capable := false
-			for _, p := range spec.Params {
-				if p.Name == "sizeCap" {
-					capable = true
-					break
-				}
-			}
-			if !capable {
-				return nil, fmt.Errorf("algorithm %q has no sizeCap parameter: it cannot solve the capped problem a sizeCap=%d session maintains", name, sizeCap)
-			}
-			params := registry.Params{}
-			if len(raw) > 0 {
-				if err := json.Unmarshal(raw, &params); err != nil {
-					return nil, fmt.Errorf(`"params" must be an object: %v`, err)
-				}
-			}
-			if set, have := params["sizeCap"]; have {
-				if f, isNum := set.(float64); !isNum || f != float64(sizeCap) {
-					return nil, fmt.Errorf(`"params".sizeCap %v conflicts with the session sizeCap %d`, set, sizeCap)
-				}
-			} else {
-				params["sizeCap"] = sizeCap
-			}
-			merged, err := json.Marshal(params)
-			if err != nil {
-				return nil, err
-			}
-			raw = merged
-		}
-	}
-	return s.resolveSolver(algo, raw)
-}
-
 // recoverSessions rebuilds every session persisted in the durable store and
 // installs it into the manager, before the server takes its first request.
 // Each session's drift-repair solver is re-resolved from its persisted
-// registry reference through the SAME resolution path creates use (cap
-// injection included), so a recovered capped session keeps repairing the
-// capped problem. A session whose solver no longer resolves — a registry
-// entry removed across the restart — recovers onto the engine default
-// rather than being dropped: serving the exact pre-crash state matters more
-// than which solver repairs it next.
+// registry reference through the SAME resolveSolver creates use (the cap
+// included), so a recovered capped session keeps repairing the capped
+// problem. A session whose solver no longer resolves — a registry entry
+// removed across the restart — recovers onto the engine default rather
+// than being dropped: serving the exact pre-crash state matters more than
+// which solver repairs it next.
 func (s *Server) recoverSessions() error {
 	recs, err := s.opts.Store.Recover()
 	if err != nil {
 		return fmt.Errorf("server: recovering sessions: %w", err)
 	}
 	for _, rec := range recs {
-		solver, err := s.resolveSessionSolver(rec.State.Ref.Name, rec.State.Ref.Params, rec.State.SizeCap)
-		if err != nil {
-			solver = nil
-		}
-		if _, err := s.mgr.Restore(rec.State, solver, rec.SinceSnapshot); err != nil {
+		// A failed resolution returns nil, the engine default.
+		solver, _ := s.resolveSolver(rec.State.Ref.Name, rec.State.Ref.Params, rec.State.SizeCap)
+		if _, err := s.mgr.Restore(rec.State, solver); err != nil {
 			return fmt.Errorf("server: restoring session %s: %w", rec.State.ID, err)
 		}
 	}
@@ -123,70 +69,46 @@ func (s *Server) writeSessionError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.writeSolveError(w, err)
 	default:
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 	}
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, routeSessionCreate) {
-		return
-	}
-	defer s.release()
-	defer s.observe(routeSessionCreate)()
 	timeout, err := s.requestTimeout(r)
 	if err != nil {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var req CreateSessionRequest
-	if err := core.DecodeStrict(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &req); err != nil {
-		s.writeDecodeError(w, "decoding session request", err)
+	if !s.decode(w, r, "decoding session request", &req) {
 		return
 	}
 	if req.SizeCap < 0 {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("sizeCap %d is negative", req.SizeCap))
+		s.badRequest(w, http.StatusBadRequest, fmt.Sprintf("sizeCap %d is negative", req.SizeCap))
 		return
 	}
 	in, err := core.InstanceFromJSON(&req.InstanceJSON)
 	if err != nil {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	solver, err := s.resolveSessionSolver(req.Algo, req.Params, req.SizeCap)
+	// The served algorithm's reference is the session's durable solver
+	// identity: recovery re-resolves it through the same resolveSolver, so a
+	// restarted session repairs with the solver it was created with. A
+	// degraded create keeps the fallback, because its drift repair must not
+	// run the expensive solver the latency objective is protecting against.
+	solver, ref, degraded, err := s.selectSolver(req.Algo, req.Params, req.SizeCap)
 	if err != nil {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// A degraded create swaps the whole solver identity, params and Ref
-	// included: the session outlives the request, and its drift repair must
-	// keep solving with the (cap-injected) fallback it was created on, not
-	// the expensive solver the latency objective is protecting against.
-	algoName, algoParams, degraded := req.Algo, req.Params, false
-	if s.shouldDegrade(req.Algo) {
-		if fallback, ferr := s.resolveSessionSolver(s.opts.DegradeAlgo, nil, req.SizeCap); ferr == nil {
-			solver = fallback
-			algoName, algoParams = s.opts.DegradeAlgo, nil
-			degraded = true
-			s.noteDegraded(req.Algo)
-		}
+	if degraded {
+		s.noteDegraded(req.Algo)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	start := time.Now()
-	snap, sol, err := s.mgr.CreateWith(ctx, in, session.CreateSpec{
-		Solver:  solver,
-		SizeCap: req.SizeCap,
-		// The request's algorithm selection (after any degradation) is the
-		// session's durable solver identity: recovery re-resolves it through
-		// the same resolveSessionSolver path, so a restarted session repairs
-		// with the same (cap-injected) solver it was created with.
-		Ref: session.SolverRef{Name: strings.ToLower(algoName), Params: algoParams},
-	})
+	snap, sol, err := s.mgr.CreateWith(ctx, in, session.CreateSpec{Solver: solver, SizeCap: req.SizeCap, Ref: ref})
 	if err != nil {
 		s.writeSessionError(w, err)
 		return
@@ -205,24 +127,16 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, routeSessionEvents) {
-		return
-	}
-	defer s.release()
-	defer s.observe(routeSessionEvents)()
 	var req SessionEventsRequest
-	if err := core.DecodeStrict(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &req); err != nil {
-		s.writeDecodeError(w, "decoding events", err)
+	if !s.decode(w, r, "decoding events", &req) {
 		return
 	}
 	if len(req.Events) == 0 {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, "empty event batch")
+		s.badRequest(w, http.StatusBadRequest, "empty event batch")
 		return
 	}
 	if len(req.Events) > s.opts.MaxBatch {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge,
+		s.badRequest(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("event batch of %d exceeds limit %d", len(req.Events), s.opts.MaxBatch))
 		return
 	}
@@ -245,11 +159,6 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, routeSessionGet) {
-		return
-	}
-	defer s.release()
-	defer s.observe(routeSessionGet)()
 	snap, err := s.mgr.Snapshot(r.PathValue("id"))
 	if err != nil {
 		s.writeSessionError(w, err)
@@ -273,10 +182,6 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, routeSessionGet) {
-		return
-	}
-	defer s.release()
 	if err := s.mgr.Delete(r.PathValue("id")); err != nil {
 		s.writeSessionError(w, err)
 		return

@@ -40,14 +40,6 @@ const (
 // name an algorithm are never degraded.
 var degradeFrom = map[string]bool{"ip": true, "sdp": true}
 
-// observe starts timing one admitted request; the returned func records the
-// elapsed wall time into the route's series. Time comes from the tracker's
-// clock, so tests on a ManualClock control the samples.
-func (s *Server) observe(route string) func() {
-	start := s.tel.Now()
-	return func() { s.tel.Record(route, s.tel.Now().Sub(start)) }
-}
-
 // effectiveMaxInFlight is the in-flight cap after adaptive shedding: the
 // configured cap, tightened by the controller while it sheds.
 func (s *Server) effectiveMaxInFlight() int {

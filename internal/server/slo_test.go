@@ -37,21 +37,17 @@ func burnSolve(tr *telemetry.Tracker, n int, d time.Duration) {
 // advance, observed through real requests.
 //
 //	breach → degrade (ip rerouted to AVG-D, degraded:true)
-//	breach persists past EscalateAfter → shed (effective cap halves)
+//	breach persists past escalate-after → shed (effective cap halves)
 //	samples age out → degrade → normal, one dwelled rung at a time
 func TestSLODegradeShedRecover(t *testing.T) {
 	obj, tr, clk := sloObjective(t)
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
 	srv, err := New(Options{
-		Engine:           eng,
-		MaxInFlight:      4,
-		Telemetry:        tr,
-		SLOs:             []telemetry.Objective{obj},
-		SLOEvalEvery:     time.Nanosecond, // any read after a clock advance re-evaluates
-		SLOEscalateAfter: 10 * time.Second,
-		SLOMinDwell:      5 * time.Second,
-		SLOShedFactor:    0.5,
+		Engine:      eng,
+		MaxInFlight: 4,
+		Telemetry:   tr,
+		SLOs:        []telemetry.Objective{obj},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +88,7 @@ func TestSLODegradeShedRecover(t *testing.T) {
 	// admission check re-evaluates and degrades, and the ip request lands on
 	// the fallback, marked.
 	burnSolve(tr, 10, 200*time.Millisecond)
-	clk.Advance(10 * time.Millisecond)
+	clk.Advance(250 * time.Millisecond)
 	resp, data = postJSON(t, ts.URL+"/v1/solve", ipBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded ip solve: status %d: %s", resp.StatusCode, data)
@@ -115,13 +111,13 @@ func TestSLODegradeShedRecover(t *testing.T) {
 		t.Fatalf("latency = %+v, want a solve series", st.Latency)
 	}
 
-	// Degrading did not help for EscalateAfter: shed. The effective cap
+	// Degrading did not help for escalate-after: shed. The effective cap
 	// halves (4 → 2) while the configured cap stands.
 	clk.Advance(11 * time.Second)
 	burnSolve(tr, 10, 200*time.Millisecond)
 	st = stats()
 	if st.SLO.Level != "shed" {
-		t.Fatalf("level after EscalateAfter = %q, want shed", st.SLO.Level)
+		t.Fatalf("level after escalate-after = %q, want shed", st.SLO.Level)
 	}
 	if st.SLO.EffectiveMaxInFlight != 2 || st.Server.MaxInFlight != 4 {
 		t.Fatalf("caps = %d/%d, want effective 2 of 4", st.SLO.EffectiveMaxInFlight, st.Server.MaxInFlight)
@@ -185,24 +181,20 @@ func TestSLODegradeShedRecover(t *testing.T) {
 func TestSLOAdaptiveShed429(t *testing.T) {
 	obj, tr, clk := sloObjective(t)
 	srv, gate, _ := newGatedServer(t, Options{
-		MaxInFlight:      4,
-		RetryAfter:       10 * time.Second,
-		Telemetry:        tr,
-		SLOs:             []telemetry.Objective{obj},
-		SLOEvalEvery:     time.Nanosecond,
-		SLOEscalateAfter: time.Second,
-		SLOMinDwell:      5 * time.Second,
-		SLOShedFactor:    0.5,
+		MaxInFlight: 4,
+		RetryAfter:  10 * time.Second,
+		Telemetry:   tr,
+		SLOs:        []telemetry.Objective{obj},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Drive the ladder to shed: breach, then persist past EscalateAfter. The
+	// Drive the ladder to shed: breach, then persist past escalate-after. The
 	// 3s samples double as the p50 the Retry-After hint derives from.
 	burnSolve(tr, 10, 3*time.Second)
-	clk.Advance(10 * time.Millisecond)
+	clk.Advance(250 * time.Millisecond)
 	_ = srv.StatsSnapshot() // evaluate: degrade
-	clk.Advance(2 * time.Second)
+	clk.Advance(11 * time.Second)
 	burnSolve(tr, 10, 3*time.Second)
 	st := srv.StatsSnapshot() // evaluate: shed
 	if st.SLO.Level != "shed" || st.SLO.EffectiveMaxInFlight != 2 {
@@ -264,7 +256,6 @@ func TestSLONoAdaptiveAdmission(t *testing.T) {
 		MaxInFlight:         4,
 		Telemetry:           tr,
 		SLOs:                []telemetry.Objective{obj},
-		SLOEvalEvery:        time.Nanosecond,
 		NoAdaptiveAdmission: true,
 	})
 	if err != nil {
@@ -274,7 +265,7 @@ func TestSLONoAdaptiveAdmission(t *testing.T) {
 	defer ts.Close()
 
 	burnSolve(tr, 10, 200*time.Millisecond)
-	clk.Advance(10 * time.Millisecond)
+	clk.Advance(250 * time.Millisecond)
 
 	_, body := testInstance(t, 1)
 	ipBody := append([]byte(`{"algo":"ip",`), body[1:]...)
@@ -296,5 +287,35 @@ func TestSLONoAdaptiveAdmission(t *testing.T) {
 	}
 	if len(st.SLO.Objectives) != 1 || st.SLO.Objectives[0].SlowBurn < 1 {
 		t.Fatalf("objectives = %+v, want a reported burn ≥ 1", st.SLO.Objectives)
+	}
+}
+
+// TestRejectedBatchCountsNoDegrade: while the ladder degrades, a batch whose
+// first item names ip is rejected for its second item, and nothing in it
+// counts as degraded, because nothing in it was served.
+func TestRejectedBatchCountsNoDegrade(t *testing.T) {
+	obj, tr, clk := sloObjective(t)
+	eng := engine.New(engine.Options{Workers: 1})
+	t.Cleanup(eng.Close)
+	srv, err := New(Options{Engine: eng, Telemetry: tr, SLOs: []telemetry.Objective{obj}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	burnSolve(tr, 10, 200*time.Millisecond)
+	clk.Advance(250 * time.Millisecond)
+	if st := srv.StatsSnapshot(); st.SLO.Level != "degrade" {
+		t.Fatalf("level %q, want degrade", st.SLO.Level)
+	}
+	_, body := testInstance(t, 1)
+	batch := append(append([]byte(`[`), withAlgo(t, body, "ip", "")...), `,{"users":0}]`...)
+	resp, data := postJSON(t, ts.URL+"/v1/solve/batch", batch)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch with a bad second item: status %d, want 400: %s", resp.StatusCode, data)
+	}
+	if st := srv.StatsSnapshot().SLO; st.DegradedTotal != 0 || len(st.DegradedByAlgo) != 0 {
+		t.Fatalf("rejected batch counted as degraded: total %d, by algo %v", st.DegradedTotal, st.DegradedByAlgo)
 	}
 }

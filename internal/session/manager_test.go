@@ -28,7 +28,7 @@ func TestRestoreKeepsTTLOverride(t *testing.T) {
 	s.mu.Unlock()
 
 	dst, _ := newTestManager(t, Options{Engine: eng})
-	if _, err := dst.Restore(st, nil, 0); err != nil {
+	if _, err := dst.Restore(st, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := dst.Stats(); got.Restored != 1 || got.Live != 1 {
@@ -212,7 +212,7 @@ func TestCrossShardStress(t *testing.T) {
 	go func() { // restorer
 		defer wg.Done()
 		for _, st := range states {
-			if _, err := m.Restore(st, nil, 0); err != nil {
+			if _, err := m.Restore(st, nil); err != nil {
 				t.Error(err)
 				return
 			}

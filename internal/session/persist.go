@@ -197,12 +197,11 @@ func (s *Session) drainOutbox() {
 // the latest snapshot plus the replayed WAL tail, the serving layer
 // re-resolves the drift-repair solver from st.Ref, and the session then
 // serves exactly the (version, value, configuration) it served before the
-// crash. sinceSnapshot seeds the snapshot cadence with the replayed tail
-// length, so a session recovered just short of a cut does not wait a full
-// interval for its next one. Restored sessions bypass MaxSessions — they
-// were admitted before the restart — but collide with nothing: a duplicate
-// id is an error.
-func (m *Manager) Restore(st *State, solver core.Solver, sinceSnapshot int) (Snapshot, error) {
+// crash. Its snapshot cadence starts from zero, since recovery re-baselines
+// every session onto a fresh snapshot. Restored sessions bypass MaxSessions
+// — they were admitted before the restart — but collide with nothing: a
+// duplicate id is an error.
+func (m *Manager) Restore(st *State, solver core.Solver) (Snapshot, error) {
 	if st == nil || st.Instance == nil || st.Config == nil {
 		return Snapshot{}, fmt.Errorf("session: restore: incomplete state")
 	}
@@ -230,7 +229,6 @@ func (m *Manager) Restore(st *State, solver core.Solver, sinceSnapshot int) (Sna
 		ttl:           st.TTL,
 		persist:       m.persister,
 		snapshotEvery: m.snapshotEvery,
-		sinceSnapshot: sinceSnapshot,
 		ds:            ds,
 		version:       st.Version,
 		value:         st.Value,

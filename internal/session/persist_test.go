@@ -283,7 +283,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(m2.Close)
-	restored, err := m2.Restore(lastCut, nil, 0)
+	restored, err := m2.Restore(lastCut, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored session applied to v%d, want v%d", res.Version, before.Version+1)
 	}
 	// A duplicate restore must be refused.
-	if _, err := m2.Restore(lastCut, nil, 0); err == nil {
+	if _, err := m2.Restore(lastCut, nil); err == nil {
 		t.Fatal("duplicate restore accepted")
 	}
 }

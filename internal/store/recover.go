@@ -9,16 +9,10 @@ import (
 )
 
 // Recovered is one session rebuilt from the durable store, ready for
-// session.Manager.Restore: the full state plus the solver reference the
-// serving layer re-resolves and the replayed tail length (which seeds the
-// restored session's snapshot cadence).
+// session.Manager.Restore: the full state, including the solver reference
+// the serving layer re-resolves.
 type Recovered struct {
 	State *session.State
-	// SinceSnapshot seeds the restored session's snapshot cadence. Recovery
-	// re-baselines every session (fresh snapshot + truncated WAL), so it is
-	// currently always zero; it stays in the contract so a backend that
-	// recovers without rewriting can report a real tail distance.
-	SinceSnapshot int
 }
 
 // Recover rebuilds every persisted, non-tombstoned session. For each: load
@@ -230,5 +224,5 @@ func (s *Store) recoverOne(id string) (*Recovered, error) {
 		s.compacts.Add(1)
 	}
 
-	return &Recovered{State: state, SinceSnapshot: 0}, nil
+	return &Recovered{State: state}, nil
 }

@@ -69,7 +69,7 @@ func reopen(t *testing.T, dir string, policy SyncPolicy, snapshotEvery int) (*st
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
-		if _, err := s.mgr.Restore(rec.State, nil, rec.SinceSnapshot); err != nil {
+		if _, err := s.mgr.Restore(rec.State, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,9 +228,6 @@ func TestSnapshotCompactionBoundsTail(t *testing.T) {
 	if st.ReplayedRecords != 1 || st.ReplayedEvents != 2 {
 		t.Fatalf("recovery replayed %d records / %d events, want 1 / 2 (tail only)",
 			st.ReplayedRecords, st.ReplayedEvents)
-	}
-	if recs[0].SinceSnapshot != 0 {
-		t.Fatalf("SinceSnapshot = %d, want 0 (recovery re-baselines)", recs[0].SinceSnapshot)
 	}
 	// Recovery re-baselined: the next startup replays nothing at all.
 	s2.close()

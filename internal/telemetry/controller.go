@@ -17,7 +17,7 @@ const (
 	// its budget); requests for expensive solvers are routed to the cheap
 	// fallback and marked degraded:true.
 	LevelDegrade
-	// LevelShed: a breach persisted past EscalateAfter despite degradation;
+	// LevelShed: a breach persisted past escalateAfter despite degradation;
 	// the effective in-flight cap is tightened on top of degrading.
 	LevelShed
 )
@@ -65,12 +65,21 @@ func (s ObjectiveState) String() string {
 	}
 }
 
-// Defaults for ControllerOptions zero values.
+// The controller's fixed tuning.
 const (
-	DefaultEvalEvery     = 250 * time.Millisecond
-	DefaultEscalateAfter = 10 * time.Second
-	DefaultMinDwell      = 5 * time.Second
-	DefaultShedFactor    = 0.5
+	// evalEvery is the re-evaluation cadence: state is recomputed lazily on
+	// the first read after the clock passes it (no goroutine, no timer).
+	evalEvery = 250 * time.Millisecond
+	// escalateAfter is how long a breach may persist (degradation already
+	// active) before the controller escalates to shedding.
+	escalateAfter = 10 * time.Second
+	// minDwell is the minimum time spent on a rung before de-escalating one
+	// rung (escalation is never dwelled — protecting the SLO beats ladder
+	// hygiene). Bounds flapping together with StateRecovering.
+	minDwell = 5 * time.Second
+	// shedFactor is the fraction of the configured in-flight cap left while
+	// shedding (floor 1).
+	shedFactor = 0.5
 )
 
 // ControllerOptions configures a Controller.
@@ -79,22 +88,6 @@ type ControllerOptions struct {
 	Tracker *Tracker
 	// Objectives are the SLOs the controller enforces. At least one.
 	Objectives []Objective
-	// EvalEvery is the re-evaluation cadence: state is recomputed lazily on
-	// the first read after the clock passes it (no goroutine, no timer).
-	// Zero means DefaultEvalEvery.
-	EvalEvery time.Duration
-	// EscalateAfter is how long a breach may persist (degradation already
-	// active) before the controller escalates to shedding. Zero means
-	// DefaultEscalateAfter.
-	EscalateAfter time.Duration
-	// MinDwell is the minimum time spent on a rung before de-escalating one
-	// rung (escalation is never dwelled — protecting the SLO beats ladder
-	// hygiene). Bounds flapping together with StateRecovering. Zero means
-	// DefaultMinDwell.
-	MinDwell time.Duration
-	// ShedFactor is the fraction of the configured in-flight cap left while
-	// shedding, e.g. 0.5 halves it (floor 1). Zero means DefaultShedFactor.
-	ShedFactor float64
 }
 
 // objectiveState is one objective's live checker state.
@@ -143,16 +136,12 @@ type ControllerSnapshot struct {
 // active while the budget replenishes instead of flapping.
 //
 // Evaluation is lazy and clock-driven: any read (Level, EffectiveCap,
-// Snapshot) past the EvalEvery cadence recomputes first. There is no
+// Snapshot) past the evalEvery cadence recomputes first. There is no
 // background goroutine, so tests on a ManualClock control every step and an
 // idle server pays nothing.
 type Controller struct {
-	tracker       *Tracker
-	clock         Clock
-	evalEvery     time.Duration
-	escalateAfter time.Duration
-	minDwell      time.Duration
-	shedFactor    float64
+	tracker *Tracker
+	clock   Clock
 
 	mu          sync.Mutex
 	objectives  []objectiveState
@@ -172,28 +161,12 @@ func NewController(o ControllerOptions) (*Controller, error) {
 	if len(o.Objectives) == 0 {
 		return nil, errors.New("telemetry: ControllerOptions.Objectives is empty")
 	}
-	if o.EvalEvery <= 0 {
-		o.EvalEvery = DefaultEvalEvery
-	}
-	if o.EscalateAfter <= 0 {
-		o.EscalateAfter = DefaultEscalateAfter
-	}
-	if o.MinDwell <= 0 {
-		o.MinDwell = DefaultMinDwell
-	}
-	if o.ShedFactor <= 0 || o.ShedFactor > 1 {
-		o.ShedFactor = DefaultShedFactor
-	}
 	c := &Controller{
-		tracker:       o.Tracker,
-		clock:         o.Tracker.Clock(),
-		evalEvery:     o.EvalEvery,
-		escalateAfter: o.EscalateAfter,
-		minDwell:      o.MinDwell,
-		shedFactor:    o.ShedFactor,
-		objectives:    make([]objectiveState, len(o.Objectives)),
-		levelSince:    o.Tracker.Clock().Now(),
-		degraded:      make(map[string]uint64),
+		tracker:    o.Tracker,
+		clock:      o.Tracker.Clock(),
+		objectives: make([]objectiveState, len(o.Objectives)),
+		levelSince: o.Tracker.Clock().Now(),
+		degraded:   make(map[string]uint64),
 	}
 	for i, obj := range o.Objectives {
 		if err := obj.Validate(); err != nil {
@@ -215,7 +188,7 @@ func (c *Controller) poll() {
 	if now.Before(c.nextEval) {
 		return
 	}
-	c.nextEval = now.Add(c.evalEvery)
+	c.nextEval = now.Add(evalEvery)
 	c.evaluateLocked(now)
 }
 
@@ -225,7 +198,7 @@ func (c *Controller) Evaluate() {
 	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.nextEval = now.Add(c.evalEvery)
+	c.nextEval = now.Add(evalEvery)
 	c.evaluateLocked(now)
 }
 
@@ -295,7 +268,7 @@ func (c *Controller) evaluateLocked(now time.Time) {
 	}
 
 	// One rung per evaluation. Escalation is immediate (protect the SLO);
-	// de-escalation waits out MinDwell on the current rung.
+	// de-escalation waits out minDwell on the current rung.
 	switch c.level {
 	case LevelNormal:
 		if anyBreached {
@@ -303,13 +276,13 @@ func (c *Controller) evaluateLocked(now time.Time) {
 		}
 	case LevelDegrade:
 		switch {
-		case anyBreached && now.Sub(c.breachSince) >= c.escalateAfter:
+		case anyBreached && now.Sub(c.breachSince) >= escalateAfter:
 			c.setLevel(LevelShed, now)
-		case !anyActive && now.Sub(c.levelSince) >= c.minDwell:
+		case !anyActive && now.Sub(c.levelSince) >= minDwell:
 			c.setLevel(LevelNormal, now)
 		}
 	case LevelShed:
-		if !anyBreached && now.Sub(c.levelSince) >= c.minDwell {
+		if !anyBreached && now.Sub(c.levelSince) >= minDwell {
 			c.setLevel(LevelDegrade, now)
 		}
 	}
@@ -331,13 +304,13 @@ func (c *Controller) Level() Level {
 }
 
 // EffectiveCap maps the configured in-flight cap to the rung's effective
-// one: shedding tightens it to ShedFactor × base (floor 1); every other
+// one: shedding tightens it to shedFactor × base (floor 1); every other
 // rung leaves it alone.
 func (c *Controller) EffectiveCap(base int) int {
 	if c.Level() != LevelShed {
 		return base
 	}
-	eff := int(float64(base) * c.shedFactor)
+	eff := int(float64(base) * shedFactor)
 	if eff < 1 {
 		eff = 1
 	}

@@ -21,14 +21,7 @@ func testController(t *testing.T) (*Controller, *Tracker, *ManualClock) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewController(ControllerOptions{
-		Tracker:       tr,
-		Objectives:    []Objective{obj},
-		EvalEvery:     time.Second,
-		EscalateAfter: 10 * time.Second,
-		MinDwell:      5 * time.Second,
-		ShedFactor:    0.5,
-	})
+	c, err := NewController(ControllerOptions{Tracker: tr, Objectives: []Objective{obj}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +129,7 @@ func TestBreachRecovery(t *testing.T) {
 }
 
 // TestLadderEscalationAndRelaxation walks Normal → Degrade → Shed (breach
-// persisting past EscalateAfter) and back down one dwelled rung at a time,
+// persisting past escalateAfter) and back down one dwelled rung at a time,
 // with the transition count — the anti-flap budget — exactly 4.
 func TestLadderEscalationAndRelaxation(t *testing.T) {
 	c, tr, clk := testController(t)
@@ -153,20 +146,20 @@ func TestLadderEscalationAndRelaxation(t *testing.T) {
 		t.Fatalf("EffectiveCap while degrading = %d, want 16 (degrade does not shed)", got)
 	}
 
-	// Breach persists but EscalateAfter (10s) has not elapsed: still degrade.
+	// Breach persists but escalateAfter (10s) has not elapsed: still degrade.
 	clk.Advance(4 * time.Second)
 	bad()
 	c.Evaluate()
 	if c.Level() != LevelDegrade {
-		t.Fatalf("level before EscalateAfter = %v, want degrade", c.Level())
+		t.Fatalf("level before escalateAfter = %v, want degrade", c.Level())
 	}
 
-	// Past EscalateAfter with the breach still live: shed.
+	// Past escalateAfter with the breach still live: shed.
 	clk.Advance(7 * time.Second)
 	bad()
 	c.Evaluate()
 	if c.Level() != LevelShed {
-		t.Fatalf("level after EscalateAfter = %v, want shed", c.Level())
+		t.Fatalf("level after escalateAfter = %v, want shed", c.Level())
 	}
 	if got := c.EffectiveCap(16); got != 8 {
 		t.Fatalf("EffectiveCap while shedding = %d, want 8", got)
@@ -200,7 +193,7 @@ func TestLadderEscalationAndRelaxation(t *testing.T) {
 }
 
 // TestLazyEvaluation pins the no-goroutine contract: state only moves when
-// a read crosses the EvalEvery cadence.
+// a read crosses the evalEvery cadence.
 func TestLazyEvaluation(t *testing.T) {
 	c, tr, clk := testController(t)
 	if c.Level() != LevelNormal {

@@ -23,7 +23,7 @@ import (
 //		Persister: st,
 //	})
 //	for _, rec := range recovered {
-//		mgr.Restore(rec.State, nil, rec.SinceSnapshot)
+//		mgr.Restore(rec.State, nil)
 //	}
 //
 // svgicd wires the same pieces behind -data-dir / -fsync / -snapshot-every.
