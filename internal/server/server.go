@@ -3,7 +3,7 @@
 // the serving-path machinery a network front door needs —
 //
 //   - admission control: a bounded in-flight limit that sheds excess load
-//     with 429 + Retry-After instead of queueing unboundedly;
+//     with 429 + Retry-After: 1 instead of queueing unboundedly;
 //   - per-request deadlines: a `timeout` query parameter (capped by the
 //     server maximum) wired into the context the engine and every solver
 //     honour, mapped to 504 on expiry and 499 when the client goes away;
@@ -53,7 +53,7 @@
 //
 // All request bodies are decoded strictly: unknown fields and trailing
 // content are rejected with 400, so a misspelled field fails loudly instead
-// of solving a silently-zeroed instance.
+// of solving a silently-zeroed instance, and a body over 8 MiB gets 413.
 package server
 
 import (
@@ -64,7 +64,6 @@ import (
 	"maps"
 	"net/http"
 	"slices"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -84,12 +83,18 @@ const StatusClientClosedRequest = 499
 
 // Defaults for Options zero values.
 const (
-	DefaultTimeout      = 10 * time.Second
-	DefaultMaxTimeout   = 2 * time.Minute
-	DefaultMaxBodyBytes = 8 << 20
-	DefaultMaxBatch     = 64
-	DefaultRetryAfter   = time.Second
+	DefaultTimeout    = 10 * time.Second
+	DefaultMaxTimeout = 2 * time.Minute
+	DefaultMaxBatch   = 64
 )
+
+// maxBodyBytes caps a request body; a larger one is refused with 413.
+const maxBodyBytes = 8 << 20
+
+// retryAfter is the Retry-After hint, in seconds, on every 429: the
+// admission shed, the adaptive shed and the session limit. One second is the
+// shortest wait the header's whole-second format can ask for.
+const retryAfter = "1"
 
 // Options configures a Server.
 type Options struct {
@@ -114,12 +119,8 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps the client-requested `timeout` parameter.
 	MaxTimeout time.Duration
-	// MaxBodyBytes caps request body size. Zero means DefaultMaxBodyBytes.
-	MaxBodyBytes int64
 	// MaxBatch caps instances per batch request. Zero means DefaultMaxBatch.
 	MaxBatch int
-	// RetryAfter is the hint sent with 429 responses.
-	RetryAfter time.Duration
 	// Sessions is the live-session manager backing the /v1/sessions
 	// endpoints. The server does not own it — close it after Shutdown, before
 	// the engine. Nil builds a loop-less default manager over Engine (bounded
@@ -174,13 +175,12 @@ type Server struct {
 	sem      chan struct{}
 	draining atomic.Bool
 
-	admitted      atomic.Uint64
-	shed          atomic.Uint64
-	adaptiveShed  atomic.Uint64
-	degradedTotal atomic.Uint64
-	badRequests   atomic.Uint64
-	timeouts      atomic.Uint64
-	clientClosed  atomic.Uint64
+	admitted     atomic.Uint64
+	shed         atomic.Uint64
+	adaptiveShed atomic.Uint64
+	badRequests  atomic.Uint64
+	timeouts     atomic.Uint64
+	clientClosed atomic.Uint64
 }
 
 // New builds a Server over an engine.
@@ -204,14 +204,8 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxTimeout <= 0 {
 		opts.MaxTimeout = DefaultMaxTimeout
 	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultMaxBatch
-	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = DefaultRetryAfter
 	}
 	if opts.Telemetry == nil {
 		opts.Telemetry = telemetry.NewTracker(telemetry.TrackerOptions{})
@@ -281,12 +275,11 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// route registers an admitted handler: each request is admitted under the
-// series (which also derives its 429 Retry-After hint), timed into that
-// series on the tracker's clock, and released when the handler returns.
+// route registers an admitted handler: each request is admitted, timed into
+// the series on the tracker's clock, and released when the handler returns.
 func (s *Server) route(pattern, series string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if !s.admit(w, series) {
+		if !s.admit(w) {
 			return
 		}
 		defer s.release()
@@ -329,10 +322,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // admit reserves an in-flight slot, writing the refusal response itself when
-// the server is draining (503) or saturated (429). The Retry-After hint on a
-// 429 derives from the route's observed p50 (see retryAfterSeconds). The
+// the server is draining (503) or saturated (429, with Retry-After: 1). The
 // caller must release() iff admit returns true.
-func (s *Server) admit(w http.ResponseWriter, route string) bool {
+func (s *Server) admit(w http.ResponseWriter) bool {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return false
@@ -341,7 +333,7 @@ func (s *Server) admit(w http.ResponseWriter, route string) bool {
 	case s.sem <- struct{}{}:
 	default:
 		s.shed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(route)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "server at max in-flight capacity")
 		return false
 	}
@@ -359,7 +351,7 @@ func (s *Server) admit(w http.ResponseWriter, route string) bool {
 		<-s.sem
 		s.shed.Add(1)
 		s.adaptiveShed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(route)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "shedding load to protect latency objectives")
 		return false
 	}
@@ -662,20 +654,22 @@ func (s *Server) StatsSnapshot() StatsResponse {
 			EffectiveMaxInFlight: s.effectiveMaxInFlight(),
 			Transitions:          cs.Transitions,
 			AdaptiveShed:         s.adaptiveShed.Load(),
-			DegradedTotal:        s.degradedTotal.Load(),
 			DegradedByAlgo:       cs.Degraded,
 			Objectives:           cs.Objectives,
+		}
+		for _, n := range cs.Degraded {
+			resp.SLO.DegradedTotal += n
 		}
 	}
 	return resp
 }
 
 // decode reads the request body strictly into v and reports whether it
-// did, answering a failure itself: a body over MaxBodyBytes is 413 (the
+// did, answering a failure itself: a body over maxBodyBytes is 413 (the
 // client should not blindly retry a "malformed" 400), everything else —
 // malformed JSON, unknown fields, trailing content — is 400.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := core.DecodeStrict(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), v)
+	err := core.DecodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
 	var mbe *http.MaxBytesError
 	switch {
 	case err == nil:

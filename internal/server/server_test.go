@@ -292,9 +292,9 @@ func TestStrictDecodeRejectsUnknownField(t *testing.T) {
 
 // TestAdmissionControlSheds429: with MaxInFlight=1 and the single slot held
 // by a gated solve, the next (distinct) request is shed immediately with 429
-// and a Retry-After hint; the held request still completes.
+// and Retry-After: 1; the held request still completes.
 func TestAdmissionControlSheds429(t *testing.T) {
-	srv, gate, runs := newGatedServer(t, Options{MaxInFlight: 1, RetryAfter: 2 * time.Second})
+	srv, gate, runs := newGatedServer(t, Options{MaxInFlight: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -316,8 +316,8 @@ func TestAdmissionControlSheds429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated solve: status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 
 	close(gate)
@@ -589,25 +589,24 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyMapsTo413: a body over MaxBodyBytes is a 413, not a 400 —
-// clients must learn to shrink the request, not "fix" well-formed JSON.
+// TestOversizedBodyMapsTo413: a body over the 8 MiB cap is a 413, not a 400
+// — clients must learn to shrink the request, not "fix" well-formed JSON.
 func TestOversizedBodyMapsTo413(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng, MaxBodyBytes: 64})
+	srv, err := New(Options{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	_, body := testInstance(t, 1) // well-formed, but far over 64 bytes
-	if len(body) <= 64 {
-		t.Fatalf("test instance too small (%d bytes) to trip the cap", len(body))
-	}
-	resp, data := postJSON(t, ts.URL+"/v1/solve", body)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, want 413: %s", resp.StatusCode, data)
+	// A well-formed instance behind enough leading whitespace (valid JSON) to
+	// end one byte past the cap. Served in-process: over a socket the client
+	// could see the connection close before it finished writing the body.
+	_, inst := testInstance(t, 1)
+	body := append(bytes.Repeat([]byte(" "), maxBodyBytes+1-len(inst)), inst...)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413: %s", rec.Code, rec.Body)
 	}
 }
 

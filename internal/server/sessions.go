@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"github.com/svgic/svgic/internal/core"
@@ -60,9 +59,7 @@ func (s *Server) writeSessionError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusNotFound, "no such session")
 	case errors.Is(err, session.ErrLimit):
 		s.shed.Add(1)
-		// ErrLimit only arises on create; the hint derives from that route's
-		// observed latency like the admission 429 does.
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(routeSessionCreate)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "session limit reached")
 	case errors.Is(err, session.ErrClosed), errors.Is(err, engine.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, "sessions are shut down")

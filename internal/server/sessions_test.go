@@ -353,8 +353,8 @@ func TestSessionEndpointErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow create: status %d: %s", resp.StatusCode, data)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("session-limit 429: Retry-After = %q, want \"1\"", ra)
 	}
 
 	// Bad event batches → 400; oversized batch → 413; unknown field → 400.

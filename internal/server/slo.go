@@ -2,7 +2,6 @@ package server
 
 import (
 	"strings"
-	"time"
 
 	"github.com/svgic/svgic/internal/telemetry"
 )
@@ -49,25 +48,6 @@ func (s *Server) effectiveMaxInFlight() int {
 	return s.ctrl.EffectiveCap(cap(s.sem))
 }
 
-// retryAfterSeconds derives the 429 hint from the observed p50 of the
-// route's latency window: a client backing off for one typical request's
-// duration retries right about when a slot frees up. The derived hint is
-// floored at 1s (sub-second hints round to zero wait) and capped at the
-// configured Options.RetryAfter; a route that never recorded falls back to
-// the configured value outright.
-func (s *Server) retryAfterSeconds(route string) int {
-	hint := s.opts.RetryAfter
-	if p50 := s.tel.Quantile(route, 0.5); p50 > 0 {
-		switch {
-		case p50 < time.Second:
-			hint = time.Second
-		case p50 < hint:
-			hint = p50
-		}
-	}
-	return int((hint + time.Second - 1) / time.Second)
-}
-
 // shouldDegrade reports whether a request selecting the named algorithm is
 // rerouted to the fallback right now: the controller exists, feedback is on,
 // the algorithm is on the degrade list, and the ladder sits at LevelDegrade
@@ -83,8 +63,8 @@ func (s *Server) shouldDegrade(algo string) bool {
 	return s.ctrl.Level() >= telemetry.LevelDegrade
 }
 
-// noteDegraded counts one request rerouted away from the named algorithm.
+// noteDegraded counts one request rerouted away from the named algorithm;
+// /v1/stats derives degradedTotal from these per-algorithm counts.
 func (s *Server) noteDegraded(algo string) {
-	s.degradedTotal.Add(1)
 	s.ctrl.NoteDegraded(strings.ToLower(algo))
 }

@@ -175,22 +175,19 @@ func TestSLODegradeShedRecover(t *testing.T) {
 }
 
 // TestSLOAdaptiveShed429 pins the shed rung's teeth: with the controller
-// shedding, requests beyond the tightened cap are refused with 429 and a
-// Retry-After derived from the route's observed p50 — while requests within
-// the tightened cap still run.
+// shedding, requests beyond the tightened cap are refused with 429 and
+// Retry-After: 1 — while requests within the tightened cap still run.
 func TestSLOAdaptiveShed429(t *testing.T) {
 	obj, tr, clk := sloObjective(t)
 	srv, gate, _ := newGatedServer(t, Options{
 		MaxInFlight: 4,
-		RetryAfter:  10 * time.Second,
 		Telemetry:   tr,
 		SLOs:        []telemetry.Objective{obj},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Drive the ladder to shed: breach, then persist past escalate-after. The
-	// 3s samples double as the p50 the Retry-After hint derives from.
+	// Drive the ladder to shed: breach, then persist past escalate-after.
 	burnSolve(tr, 10, 3*time.Second)
 	clk.Advance(250 * time.Millisecond)
 	_ = srv.StatsSnapshot() // evaluate: degrade
@@ -217,15 +214,14 @@ func TestSLOAdaptiveShed429(t *testing.T) {
 		return srv.StatsSnapshot().Server.InFlight == 2
 	})
 
-	// The third is beyond the effective cap: adaptive 429, Retry-After from
-	// the observed p50 (3s, within [1s, configured 10s]).
+	// The third is beyond the effective cap: adaptive 429.
 	_, bodyC := testInstance(t, 3)
 	resp, data := postJSON(t, ts.URL+"/v1/solve", bodyC)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("beyond effective cap: status %d: %s", resp.StatusCode, data)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want \"3\" (derived from p50)", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	if !strings.Contains(string(data), "latency objectives") {
 		t.Errorf("shed body %q does not name the cause", data)

@@ -77,13 +77,13 @@ func TestParseObjectives(t *testing.T) {
 func TestTrackerBasics(t *testing.T) {
 	clk := NewManualClock(time.Unix(1000, 0))
 	tr := NewTracker(TrackerOptions{Clock: clk, Width: 12 * time.Second, Buckets: 12})
-	if tr.Quantile("solve", 0.5) != 0 {
-		t.Fatal("unseen series must read 0")
+	if tr.Window("solve") != nil {
+		t.Fatal("unseen series must have no window")
 	}
 	tr.Record("solve", 40*time.Millisecond)
 	tr.Record("solve", 60*time.Millisecond)
 	tr.Record("repair", 10*time.Millisecond)
-	if p50 := tr.Quantile("solve", 0.5); p50 < 40*time.Millisecond || p50 > 60*time.Millisecond {
+	if p50 := tr.Snapshot()["solve"].P50; p50 < 40*time.Millisecond || p50 > 60*time.Millisecond {
 		t.Fatalf("solve p50 = %v, want within [40ms, 60ms]", p50)
 	}
 	names := tr.Names()

@@ -104,18 +104,6 @@ func (t *Tracker) Window(name string) *Window {
 	return t.series[name]
 }
 
-// Quantile estimates the q-quantile of the named series over its full
-// window; 0 when the series never recorded (callers treat that as "no
-// observation", e.g. the Retry-After derivation falls back to its
-// configured hint).
-func (t *Tracker) Quantile(name string, q float64) time.Duration {
-	w := t.Window(name)
-	if w == nil {
-		return 0
-	}
-	return secondsToDuration(w.Quantile(q))
-}
-
 // Names returns every live series name, sorted.
 func (t *Tracker) Names() []string {
 	t.mu.RLock()
