@@ -31,13 +31,12 @@ func (m SamplingMode) String() string {
 
 // AVGOptions configures the randomized AVG solver.
 type AVGOptions struct {
-	Seed          uint64
-	LPMode        LPMode
-	LP            lp.RelaxOptions
-	Sampling      SamplingMode
-	SizeCap       int // SVGIC-ST subgroup size bound M; 0 disables the cap
-	MaxIterations int // rounding iteration guard; 0 = automatic
-	Repeats       int // run the rounding this many times, keep the best (Corollary 4.1); 0/1 = once
+	Seed     uint64
+	LPMode   LPMode
+	LP       lp.RelaxOptions
+	Sampling SamplingMode
+	SizeCap  int // SVGIC-ST subgroup size bound M; 0 disables the cap
+	Repeats  int // run the rounding this many times, keep the best (Corollary 4.1); 0/1 = once
 	// Warm, when non-nil, is an incumbent configuration to warm-start from:
 	// the LP ascent seeds at its indicator point and the result never scores
 	// below it (see WarmStarter). Incumbents that fail validation against the
@@ -239,9 +238,9 @@ func roundOnce(in *Instance, f *Factors, opts AVGOptions) (*Configuration, Round
 	rng := stats.NewRand(opts.Seed)
 	switch opts.Sampling {
 	case SamplingOriginal:
-		roundOriginal(rs, rng, opts.MaxIterations, &st)
+		roundOriginal(rs, rng, &st)
 	default:
-		roundAdvanced(rs, rng, opts.MaxIterations, &st)
+		roundAdvanced(rs, rng, &st)
 	}
 	if rs.remaining > 0 {
 		st.FallbackUnits = completeGreedy(in, rs.conf, rs.aP, rs.aS, rs.cap, rs.counts)
@@ -253,12 +252,12 @@ func roundOnce(in *Instance, f *Factors, opts AVGOptions) (*Configuration, Round
 // (Algorithm 4): (c,s) is drawn proportionally to the maintained maximum
 // eligible factor and α uniformly below it, so every accepted draw makes
 // progress. Cached weights only overestimate (eligibility shrinks
-// monotonically), which rejection sampling corrects exactly.
-func roundAdvanced(rs *roundState, rng *rand.Rand, maxIter int, st *RoundingStats) {
+// monotonically), which rejection sampling corrects exactly. The iteration
+// guard hands any units left after 200·m·k+1000 draws to the greedy
+// completion.
+func roundAdvanced(rs *roundState, rng *rand.Rand, st *RoundingStats) {
 	m, k := rs.in.NumItems, rs.in.K
-	if maxIter <= 0 {
-		maxIter = 200*m*k + 1000
-	}
+	maxIter := 200*m*k + 1000
 	fw := stats.NewFenwick(m * k)
 	for c := 0; c < m; c++ {
 		if len(rs.support[c]) == 0 {
@@ -295,12 +294,11 @@ func roundAdvanced(rs *roundState, rng *rand.Rand, maxIter int, st *RoundingStat
 }
 
 // roundOriginal is the unoptimized sampling of Algorithm 2: (c,s,α) uniform;
-// draws with α above every eligible factor are idle.
-func roundOriginal(rs *roundState, rng *rand.Rand, maxIter int, st *RoundingStats) {
+// draws with α above every eligible factor are idle. The iteration guard
+// (50·m·k²+10000 draws) is wider than the advanced scheme's because of them.
+func roundOriginal(rs *roundState, rng *rand.Rand, st *RoundingStats) {
 	m, k := rs.in.NumItems, rs.in.K
-	if maxIter <= 0 {
-		maxIter = 50*m*k*k + 10000
-	}
+	maxIter := 50*m*k*k + 10000
 	for iter := 0; rs.remaining > 0 && iter < maxIter; iter++ {
 		st.Iterations++
 		c := rng.IntN(m)

@@ -165,6 +165,23 @@ func TestAVGDSizeCapRespected(t *testing.T) {
 	}
 }
 
+// TestAVGDWithCapAndWeights runs AVG-D's rounding with a size cap and slot
+// weights together: the result must stay valid and within the cap.
+func TestAVGDWithCapAndWeights(t *testing.T) {
+	in := randomInstance(9, 12, 40, 4, 0.5)
+	f, err := SolveRelaxation(in, LPStructured, defaultTestLP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf, _ := RoundAVGD(in, f, AVGDOptions{R: 1, SizeCap: 4, SlotWeights: []float64{4, 3, 2, 1}})
+	if err := conf.Validate(in); err != nil {
+		t.Fatal(err)
+	}
+	if v := conf.SizeViolations(4); v != 0 {
+		t.Errorf("%d size violations at cap 4", v)
+	}
+}
+
 func TestSizeCapInfeasibleRejected(t *testing.T) {
 	in := randomInstance(1, 9, 4, 2, 0.5) // 9 users > 4 items × cap 2
 	if _, _, err := SolveAVG(in, AVGOptions{SizeCap: 2}); err == nil {

@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/svgic/svgic/internal/lp"
 )
@@ -36,11 +33,6 @@ type AVGDOptions struct {
 	// significant slots during construction rather than by post-hoc
 	// reordering. Score the result with EvaluateWithSlotWeights.
 	SlotWeights []float64
-	// Parallel evaluates candidate entries on all CPUs (the parallelization
-	// the paper notes reduces AVG-D's complexity by a factor of up to nmk).
-	// The result is bit-identical to the serial run: entries are pure
-	// functions of the shared state and each worker has its own scratch.
-	Parallel bool
 	// Warm, when non-nil, is an incumbent configuration to warm-start from:
 	// the LP ascent seeds at its indicator point and the result never scores
 	// below it (see WarmStarter). Incumbents that fail validation against the
@@ -185,13 +177,6 @@ type avgdEntry struct {
 	ok      bool
 }
 
-// avgdScratch is the per-worker epoch-stamped membership buffer used while
-// walking one candidate's prefix.
-type avgdScratch struct {
-	inStar []int
-	epoch  int
-}
-
 // avgdState extends the rounding state with the AVG-D bookkeeping.
 type avgdState struct {
 	*roundState
@@ -200,8 +185,10 @@ type avgdState struct {
 	spPair    []float64   // per pair: Σ_c aS[e][c]·min(x̄u,x̄v)/k (LP mass of one pair-slot)
 	sortedAll [][]int     // per item: all users sorted by descending factor
 	entries   []avgdEntry // per c*K+s
-	scratch   avgdScratch // serial-path scratch
-	parallel  bool
+	// inStar is the epoch-stamped membership buffer computeEntry uses while
+	// walking one candidate's prefix: u is in the Star iff inStar[u] == epoch.
+	inStar []int
+	epoch  int
 }
 
 // RoundAVGD deterministically rounds the fractional solution f
@@ -225,8 +212,7 @@ func RoundAVGD(in *Instance, f *Factors, opts AVGDOptions) (*Configuration, Roun
 		spPair:     make([]float64, len(in.G.Pairs())),
 		sortedAll:  make([][]int, m),
 		entries:    make([]avgdEntry, m*k),
-		scratch:    avgdScratch{inStar: make([]int, n)},
-		parallel:   opts.Parallel,
+		inStar:     make([]int, n),
 	}
 	kf := float64(k)
 	for u := 0; u < n; u++ {
@@ -327,43 +313,12 @@ func sortAllByFactor(X [][]float64, c, n int) []int {
 	return us
 }
 
-// recompute refreshes the given entry indices, fanning out over all CPUs
-// when the parallel option is set and the batch is large enough to pay for
-// the goroutines. Entries are pure functions of the shared (read-only during
-// recompute) state, so the parallel result is identical to the serial one.
+// recompute refreshes the given entry indices.
 func (as *avgdState) recompute(idxs []int) {
 	k := as.in.K
-	workers := 1
-	if as.parallel && len(idxs) >= 64 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > len(idxs)/16 {
-			workers = len(idxs) / 16
-		}
+	for _, i := range idxs {
+		as.entries[i] = as.computeEntry(i/k, i%k)
 	}
-	if workers <= 1 {
-		for _, i := range idxs {
-			as.entries[i] = as.computeEntry(i/k, i%k, &as.scratch)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := avgdScratch{inStar: make([]int, as.in.NumUsers())}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(idxs) {
-					return
-				}
-				idx := idxs[i]
-				as.entries[idx] = as.computeEntry(idx/k, idx%k, &sc)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // computeEntry evaluates every threshold candidate for (c, s): walking the
@@ -372,7 +327,7 @@ func (as *avgdState) recompute(idxs []int) {
 // exactly that prefix) and after the final user (α = 0, or α at the smallest
 // factor). Under the ST cap the prefix additionally stops at the remaining
 // capacity, matching the capped CSF.
-func (as *avgdState) computeEntry(c, s int, sc *avgdScratch) avgdEntry {
+func (as *avgdState) computeEntry(c, s int) avgdEntry {
 	if as.capReached(c, s) {
 		return avgdEntry{}
 	}
@@ -382,8 +337,8 @@ func (as *avgdState) computeEntry(c, s int, sc *avgdScratch) avgdEntry {
 	if as.cap > 0 {
 		capLeft = as.cap - as.counts[c*k+s]
 	}
-	sc.epoch++
-	ep := sc.epoch
+	as.epoch++
+	ep := as.epoch
 	var alg, lpLoss float64
 	var entry avgdEntry
 	count := 0
@@ -414,13 +369,13 @@ func (as *avgdState) computeEntry(c, s int, sc *avgdScratch) avgdEntry {
 			if v == u {
 				v = b
 			}
-			if sc.inStar[v] == ep {
+			if as.inStar[v] == ep {
 				alg += as.aS[e][c]
 			} else if as.conf.Assign[v][s] == Unassigned {
 				lpLoss += as.spPair[e]
 			}
 		}
-		sc.inStar[u] = ep
+		as.inStar[u] = ep
 		count++
 		if capLeft > 0 && count >= capLeft {
 			break

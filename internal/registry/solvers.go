@@ -72,7 +72,6 @@ func init() {
 		Params: append([]ParamSpec{
 			{Name: "r", Kind: KindFloat, Default: core.DefaultR, Description: "balancing ratio (1/4 = proven guarantee, ~1.0 best empirically)"},
 			{Name: "sizeCap", Kind: KindInt, Description: "SVGIC-ST subgroup size bound M (0 = uncapped)"},
-			{Name: "parallel", Kind: KindBool, Description: "evaluate candidate entries on all CPUs (bit-identical result)"},
 		}, lpParams...),
 		New: func(p Resolved) (core.Solver, error) {
 			if err := checkSizeCap(p.Int("sizeCap")); err != nil {
@@ -82,10 +81,9 @@ func init() {
 				return nil, fmt.Errorf("balancing ratio r=%g must be >= 0", p.Float("r"))
 			}
 			return &core.AVGDSolver{Opts: core.AVGDOptions{
-				R:        p.Float("r"),
-				SizeCap:  p.Int("sizeCap"),
-				Parallel: p.Bool("parallel"),
-				LP:       lpOpts(p),
+				R:       p.Float("r"),
+				SizeCap: p.Int("sizeCap"),
+				LP:      lpOpts(p),
 			}}, nil
 		},
 	})
