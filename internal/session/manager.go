@@ -656,7 +656,7 @@ func (m *Manager) repairOne(ctx context.Context, s *Session) {
 		return
 	}
 	if s.lastRepair == s.version {
-		s.repairSkips++
+		s.metrics.RepairSkips++
 		m.repSkips.Add(1)
 		s.mu.Unlock()
 		return
@@ -712,7 +712,7 @@ func (m *Manager) repairDelta(ctx context.Context, s *Session, base core.Solver)
 		// same best-response dynamics a repair would): complete the cycle as
 		// a skip so the next one is free too.
 		s.lastRepair = s.version
-		s.repairSkips++
+		s.metrics.RepairSkips++
 		m.repSkips.Add(1)
 		s.mu.Unlock()
 		return true
@@ -849,7 +849,7 @@ func (m *Manager) commitRepair(s *Session, version uint64, current, resolved flo
 			return false
 		}
 		if s.version != version {
-			s.repairStale++
+			s.metrics.RepairStale++
 			m.repStale.Add(1)
 			return false
 		}
@@ -871,7 +871,7 @@ func (m *Manager) commitRepair(s *Session, version uint64, current, resolved flo
 				s.value = s.ds.Value()
 				s.version++
 				s.lastRepair = s.version
-				s.repairSwaps++
+				s.metrics.RepairSwaps++
 				m.repSwaps.Add(1)
 				if s.persist != nil {
 					s.outbox = append(s.outbox, persistOp{
@@ -889,7 +889,7 @@ func (m *Manager) commitRepair(s *Session, version uint64, current, resolved flo
 		}
 		s.ds.ClearDirty()
 		s.lastRepair = s.version
-		s.repairKeeps++
+		s.metrics.RepairKeeps++
 		m.repKeeps.Add(1)
 		return false
 	}()

@@ -140,7 +140,7 @@ func (s *Session) stateLocked() *State {
 		Instance: s.ds.Instance().Clone(),
 		Config:   s.ds.Config().Clone(),
 		Active:   s.ds.ActiveUsers(),
-		Metrics:  s.metricsLocked(),
+		Metrics:  s.metrics,
 	}
 }
 
@@ -235,15 +235,7 @@ func (m *Manager) Restore(st *State, solver core.Solver) (Snapshot, error) {
 		created:       st.Created,
 		lastTouch:     now,
 		lastRepair:    noRepairYet,
-		joins:         st.Metrics.Joins,
-		leaves:        st.Metrics.Leaves,
-		updates:       st.Metrics.Updates,
-		rebalances:    st.Metrics.Rebalances,
-		rebalanceGain: st.Metrics.RebalanceGain,
-		repairSwaps:   st.Metrics.RepairSwaps,
-		repairKeeps:   st.Metrics.RepairKeeps,
-		repairStale:   st.Metrics.RepairStale,
-		repairSkips:   st.Metrics.RepairSkips,
+		metrics:       st.Metrics,
 	}
 	m.mu.Lock()
 	if m.closed {

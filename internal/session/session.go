@@ -70,10 +70,7 @@ type Session struct {
 	// session no repair has examined (version 0 is a real, repairable state).
 	lastRepair uint64
 
-	joins, leaves, updates, rebalances uint64
-	rebalanceGain                      float64
-	repairSwaps, repairKeeps           uint64
-	repairStale, repairSkips           uint64
+	metrics Metrics
 }
 
 // noRepairYet is the lastRepair sentinel of a session that has never
@@ -116,17 +113,7 @@ func (s *Session) apply(now time.Time, events []Event) (ApplyResult, error) {
 			break
 		}
 		s.version++
-		switch res.Type {
-		case EventJoin:
-			s.joins++
-		case EventLeave:
-			s.leaves++
-		case EventUpdatePreference:
-			s.updates++
-		case EventRebalance:
-			s.rebalances++
-			s.rebalanceGain += res.Gain
-		}
+		s.metrics.Count(res)
 		results = append(results, res)
 	}
 	s.value = s.ds.Value()
@@ -161,6 +148,24 @@ type Metrics struct {
 	RepairKeeps   uint64  `json:"repairKeeps"`
 	RepairStale   uint64  `json:"repairStale"`
 	RepairSkips   uint64  `json:"repairSkips"`
+}
+
+// Count adds one applied event: EventsApplied, its kind's count and, for a
+// rebalance, its gain. Live application and WAL replay both count through
+// it, so a recovered session reports the counts it served.
+func (m *Metrics) Count(res EventResult) {
+	m.EventsApplied++
+	switch res.Type {
+	case EventJoin:
+		m.Joins++
+	case EventLeave:
+		m.Leaves++
+	case EventUpdatePreference:
+		m.Updates++
+	case EventRebalance:
+		m.Rebalances++
+		m.RebalanceGain += res.Gain
+	}
 }
 
 // Snapshot is a point-in-time copy of a session's serving state: the current
@@ -205,23 +210,8 @@ func (s *Session) snapshot(now time.Time, touch bool) (Snapshot, error) {
 		Assignment: conf.Clone().Assign,
 		Created:    s.created,
 		LastTouch:  s.lastTouch,
-		Metrics:    s.metricsLocked(),
+		Metrics:    s.metrics,
 	}, nil
-}
-
-func (s *Session) metricsLocked() Metrics {
-	return Metrics{
-		EventsApplied: s.joins + s.leaves + s.updates + s.rebalances,
-		Joins:         s.joins,
-		Leaves:        s.leaves,
-		Updates:       s.updates,
-		Rebalances:    s.rebalances,
-		RebalanceGain: s.rebalanceGain,
-		RepairSwaps:   s.repairSwaps,
-		RepairKeeps:   s.repairKeeps,
-		RepairStale:   s.repairStale,
-		RepairSkips:   s.repairSkips,
-	}
 }
 
 // close marks the session dead; later applies and snapshots see ErrNotFound

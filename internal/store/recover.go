@@ -135,18 +135,7 @@ func (s *Store) recoverOne(id string) (*Recovered, error) {
 				if err != nil {
 					return nil, fmt.Errorf("store: session %s: replaying record %d event %d: %w", id, i, j, err)
 				}
-				metrics.EventsApplied++
-				switch res.Type {
-				case session.EventJoin:
-					metrics.Joins++
-				case session.EventLeave:
-					metrics.Leaves++
-				case session.EventUpdatePreference:
-					metrics.Updates++
-				case session.EventRebalance:
-					metrics.Rebalances++
-					metrics.RebalanceGain += res.Gain
-				}
+				metrics.Count(res)
 			}
 			version += uint64(len(rec.Events))
 			s.recEvents.Add(uint64(len(rec.Events)))
