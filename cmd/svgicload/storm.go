@@ -128,7 +128,7 @@ func probeOnce(c *child, in *core.Instance, hot, other server.SolveRequest) erro
 	}
 	evalReq, err := json.Marshal(server.EvaluateRequest{
 		Instance:      hot.InstanceJSON,
-		Configuration: server.ConfigurationJSON{Slots: sol.Config.K, Assignment: sol.Config.Assign},
+		Configuration: core.ConfigurationJSON{Slots: sol.Config.K, Assignment: sol.Config.Assign},
 	})
 	if err != nil {
 		return err

@@ -70,15 +70,9 @@ type BatchResponse struct {
 // EvaluateRequest is the body of POST /v1/evaluate: score a configuration
 // against an instance under SVGIC-ST semantics (dtel = 0 gives plain SVGIC).
 type EvaluateRequest struct {
-	Instance      core.InstanceJSON `json:"instance"`
-	Configuration ConfigurationJSON `json:"configuration"`
-	DTel          float64           `json:"dtel,omitempty"`
-}
-
-// ConfigurationJSON mirrors core.ConfigurationJSON on the wire.
-type ConfigurationJSON struct {
-	Slots      int     `json:"slots"`
-	Assignment [][]int `json:"assignment"`
+	Instance      core.InstanceJSON      `json:"instance"`
+	Configuration core.ConfigurationJSON `json:"configuration"`
+	DTel          float64                `json:"dtel,omitempty"`
 }
 
 // EvaluateResponse answers POST /v1/evaluate.

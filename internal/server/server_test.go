@@ -555,7 +555,7 @@ func TestEvaluateEndpoint(t *testing.T) {
 	decodeInto(t, body, &ij)
 	req, err := json.Marshal(EvaluateRequest{
 		Instance:      ij,
-		Configuration: ConfigurationJSON{Slots: conf.K, Assignment: conf.Assign},
+		Configuration: core.ConfigurationJSON{Slots: conf.K, Assignment: conf.Assign},
 		DTel:          0.5,
 	})
 	if err != nil {
@@ -578,7 +578,7 @@ func TestEvaluateEndpoint(t *testing.T) {
 	badConf.Assign[0][1] = badConf.Assign[0][0]
 	req, err = json.Marshal(EvaluateRequest{
 		Instance:      ij,
-		Configuration: ConfigurationJSON{Slots: badConf.K, Assignment: badConf.Assign},
+		Configuration: core.ConfigurationJSON{Slots: badConf.K, Assignment: badConf.Assign},
 	})
 	if err != nil {
 		t.Fatal(err)
