@@ -32,8 +32,9 @@ import (
 // answer.
 type Engine = engine.Engine
 
-// EngineOptions configures NewEngine: worker count, per-worker solver
-// factory, result-cache size and the decomposition switch.
+// EngineOptions configures NewEngine: Workers (the pool size), NewSolver
+// (the per-worker default-solver factory), CacheSize (the result-cache
+// bound) and SolveObserver (a hook for every solve's wall time).
 type EngineOptions = engine.Options
 
 // EngineStats is a snapshot of an Engine's latency, cache, coalescing and

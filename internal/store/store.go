@@ -97,7 +97,12 @@ const DefaultSyncInterval = 100 * time.Millisecond
 
 const (
 	// writerShards is the writer-goroutine count; sessions hash onto
-	// shards, so per-session op order is preserved.
+	// shards, so per-session op order is preserved. Under SyncAlways each
+	// append is followed by an fsync on its shard's goroutine, so four
+	// shards keep up to four fsyncs in flight where one writer would queue
+	// every session behind one. A one-writer store measured worse on
+	// durable-session (median p50 1.331 → 1.452 ms, worse in 5 of 6 pairs;
+	// EXPERIMENTS.md, "Durability").
 	writerShards = 4
 	// queueDepth is each shard's buffered op queue. A full queue
 	// backpressures the serving path (the durability contract beats
