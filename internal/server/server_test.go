@@ -599,14 +599,17 @@ func TestOversizedBodyMapsTo413(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A well-formed instance behind enough leading whitespace (valid JSON) to
-	// end one byte past the cap. Served in-process: over a socket the client
-	// could see the connection close before it finished writing the body.
+	// end one byte past 8 MiB, served in-process so the body is not copied
+	// through a socket.
 	_, inst := testInstance(t, 1)
-	body := append(bytes.Repeat([]byte(" "), maxBodyBytes+1-len(inst)), inst...)
+	body := append(bytes.Repeat([]byte(" "), 8<<20+1-len(inst)), inst...)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "exceeds 8388608 bytes") {
+		t.Errorf("413 body %q does not name the 8 MiB cap", rec.Body)
 	}
 }
 
