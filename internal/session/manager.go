@@ -80,9 +80,10 @@ type Options struct {
 
 // Stats is a snapshot of the manager's counters, aggregated over all
 // sessions that ever lived (deleting a session does not erase its event
-// counts). Live is the session table's size, read under the table lock, and
-// EventsApplied is the sum of the four per-kind event counts; the rest are
-// atomic counters. The metric tags name svgicd's /metrics families.
+// counts). Live is the session table's size, read under the table lock;
+// EventsApplied and the four per-kind event counts are read together under
+// the events lock, so EventsApplied is always their sum; the rest are atomic
+// counters. The metric tags name svgicd's /metrics families.
 type Stats struct {
 	Live     int    `json:"live" metric:"svgicd_sessions_live" help:"Live sessions."`
 	Created  uint64 `json:"created" metric:"svgicd_sessions_created_total" help:"Sessions created."`
@@ -152,9 +153,14 @@ type Manager struct {
 	repairSem chan struct{}
 
 	created, restored, rejected, evicted, deleted atomic.Uint64
-	joins, leaves, updates, rebals                atomic.Uint64
 	repRuns, repSwaps, repKeeps, repStale         atomic.Uint64
 	repErrors, repSkips, repWarm, repCold         atomic.Uint64
+
+	// events counts every applied event by kind through Metrics.Count, the
+	// one per-kind mapping sessions and WAL replay also count through.
+	// eventsMu guards it and is never held with another lock.
+	eventsMu sync.Mutex
+	events   Metrics
 
 	ctx       context.Context // canceled by Close; bounds repair solves
 	cancel    context.CancelFunc
@@ -397,18 +403,11 @@ func (m *Manager) Apply(id string, events []Event) (ApplyResult, error) {
 		return ApplyResult{}, err
 	}
 	res, err := s.apply(m.now(), events)
+	m.eventsMu.Lock()
 	for _, r := range res.Results {
-		switch r.Type {
-		case EventJoin:
-			m.joins.Add(1)
-		case EventLeave:
-			m.leaves.Add(1)
-		case EventUpdatePreference:
-			m.updates.Add(1)
-		case EventRebalance:
-			m.rebals.Add(1)
-		}
+		m.events.Count(r)
 	}
+	m.eventsMu.Unlock()
 	return res, err
 }
 
@@ -899,28 +898,31 @@ func (m *Manager) commitRepair(s *Session, version uint64, current, resolved flo
 }
 
 // Stats returns a point-in-time snapshot of the manager's counters. It
-// takes the table lock only to read Live.
+// takes the table lock only to read Live, and the events lock to read the
+// per-kind event counts.
 func (m *Manager) Stats() Stats {
-	st := Stats{
-		Live:         m.Len(),
-		Created:      m.created.Load(),
-		Restored:     m.restored.Load(),
-		Rejected:     m.rejected.Load(),
-		Evicted:      m.evicted.Load(),
-		Deleted:      m.deleted.Load(),
-		Joins:        m.joins.Load(),
-		Leaves:       m.leaves.Load(),
-		Updates:      m.updates.Load(),
-		Rebalances:   m.rebals.Load(),
-		RepairRuns:   m.repRuns.Load(),
-		RepairSwaps:  m.repSwaps.Load(),
-		RepairKeeps:  m.repKeeps.Load(),
-		RepairStale:  m.repStale.Load(),
-		RepairErrors: m.repErrors.Load(),
-		RepairSkips:  m.repSkips.Load(),
-		RepairWarm:   m.repWarm.Load(),
-		RepairCold:   m.repCold.Load(),
+	m.eventsMu.Lock()
+	events := m.events
+	m.eventsMu.Unlock()
+	return Stats{
+		Live:          m.Len(),
+		Created:       m.created.Load(),
+		Restored:      m.restored.Load(),
+		Rejected:      m.rejected.Load(),
+		Evicted:       m.evicted.Load(),
+		Deleted:       m.deleted.Load(),
+		EventsApplied: events.EventsApplied,
+		Joins:         events.Joins,
+		Leaves:        events.Leaves,
+		Updates:       events.Updates,
+		Rebalances:    events.Rebalances,
+		RepairRuns:    m.repRuns.Load(),
+		RepairSwaps:   m.repSwaps.Load(),
+		RepairKeeps:   m.repKeeps.Load(),
+		RepairStale:   m.repStale.Load(),
+		RepairErrors:  m.repErrors.Load(),
+		RepairSkips:   m.repSkips.Load(),
+		RepairWarm:    m.repWarm.Load(),
+		RepairCold:    m.repCold.Load(),
 	}
-	st.EventsApplied = st.Joins + st.Leaves + st.Updates + st.Rebalances
-	return st
 }
