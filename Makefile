@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short fuzz bench bench-sessions bench-dynamic bench-lp fmt fmt-check vet lint lint-internal lint-fixtures perfbench-check check loc serve-smoke session-smoke crash-smoke slo-smoke
+.PHONY: build test test-short fuzz bench bench-sessions bench-dynamic bench-lp bench-hot fmt fmt-check vet lint lint-internal lint-fixtures perfbench-check check loc serve-smoke session-smoke crash-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -34,7 +34,10 @@ test-short:
 # "algo", "params" and size-cap selections the way solves, batch items,
 # session creates and recovery do, and checks that an error comes with no
 # solver, that two calls agree on the solver key, and that a capped solver's
-# key carries the cap. A failing input is saved under the package's
+# key carries the cap. FuzzSolveMemo posts arbitrary bytes to /v1/solve
+# twice and checks that both answers agree (timings masked), that a body
+# refused with any status but 200 is never stored in the decode memo, and
+# that one answered 200 is. A failing input is saved under the package's
 # testdata/fuzz/, where plain `go test` replays it.
 fuzz:
 	$(GO) test ./internal/lp -run='^$$' -fuzz='^FuzzProjectCappedSimplex$$' -fuzztime=10s
@@ -43,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzUnmarshalInstanceStrict$$' -fuzztime=10s
 	$(GO) test ./internal/store -run='^$$' -fuzz='^FuzzReadFrames$$' -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzResolveSolver$$' -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz='^FuzzSolveMemo$$' -fuzztime=10s
 
 # Benchmark smoke: one iteration of every benchmark, no tests.
 bench:
@@ -76,6 +80,15 @@ bench-dynamic:
 bench-lp:
 	$(GO) test ./internal/core -run='^$$' -bench='^BenchmarkSolveRelaxation$$' -benchmem -benchtime=10x \
 		| $(GO) run ./cmd/benchjson -o BENCH_lp.json
+
+# Hot-solve benchmark, written to BENCH_hot.json: one op posts one of 32
+# perfbench-shaped groups, each solved once before the timer, to the
+# in-process /v1/solve handler, so its body is read, found in the decode memo,
+# fingerprinted and answered from the result cache. ns/op moves with the
+# host; allocs/op and B/op (about one body) do not.
+bench-hot:
+	$(GO) test ./internal/server -run='^$$' -bench='^BenchmarkSolveHit$$' -benchmem -benchtime=4000x \
+		| $(GO) run ./cmd/benchjson -o BENCH_hot.json
 
 # -s (simplify) included: composite-literal and range simplifications are
 # enforced, not just layout.

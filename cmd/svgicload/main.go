@@ -23,7 +23,9 @@
 //
 // Every mode reports latency percentiles and the daemon's /v1/stats
 // counters, and fails on a transport error or any status other than the
-// request's success status and 429 (admission control shedding load).
+// request's success status and 429 (admission control shedding load). The
+// storm also fails when -dup-frac repeats bodies but the daemon's /v1/solve
+// decode memo answered none of them.
 package main
 
 import (

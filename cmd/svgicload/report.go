@@ -164,6 +164,7 @@ func printStats(c *child) (*server.StatsResponse, error) {
 	}
 	fmt.Printf("coalesce: enabled=%v leads=%d joins=%d (%.1f%% of coalesced traffic collapsed)\n",
 		co.Enabled, co.Leads, co.Joins, collapsed)
+	fmt.Printf("memo: hits=%d misses=%d evictions=%d\n", st.Memo.Hits, st.Memo.Misses, st.Memo.Evictions)
 	s := st.Server
 	fmt.Printf("admission: admitted=%d shed=%d timeouts=%d clientClosed=%d badRequests=%d maxInFlight=%d\n",
 		s.Admitted, s.Shed, s.Timeouts, s.ClientClosed, s.BadRequests, s.MaxInFlight)

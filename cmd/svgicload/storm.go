@@ -98,6 +98,12 @@ func storm(c *child, o *options) error {
 	if bad > 0 {
 		return fmt.Errorf("%d requests failed with a status other than 200/429", bad)
 	}
+	// Hot bodies repeat byte for byte, so past the first answer of each
+	// they must come from the daemon's decode memo.
+	if o.dupFrac > 0 && st.Memo.Hits == 0 {
+		return fmt.Errorf("no /v1/solve body was answered from the decode memo (misses=%d), though -dup-frac %.2f repeats the hot bodies",
+			st.Memo.Misses, o.dupFrac)
+	}
 	if o.assertSLODegrade {
 		return assertSLODegrade(st)
 	}

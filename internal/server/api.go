@@ -211,6 +211,15 @@ type CoalesceStats struct {
 	engine.CoalesceStats
 }
 
+// MemoStats is the /v1/solve decode memo's slice of GET /v1/stats: bodies
+// found in the memo, bodies decoded because it did not hold them (malformed
+// ones included), and entries evicted by its byte budget.
+type MemoStats struct {
+	Hits      uint64 `json:"hits" metric:"svgicd_solve_memo_hits_total" help:"/v1/solve bodies answered from the decode memo, skipping JSON parsing."`
+	Misses    uint64 `json:"misses" metric:"svgicd_solve_memo_misses_total" help:"/v1/solve bodies decoded because the memo did not hold them."`
+	Evictions uint64 `json:"evictions" metric:"svgicd_solve_memo_evictions_total" help:"Decode memo entries evicted by its 4 MiB body budget."`
+}
+
 // LatencyStats is one latency series' sliding-window summary in GET
 // /v1/stats: per-route request wall times ("solve", "session_create", ...),
 // per-algorithm solver wall times ("algo:AVG-D", ...) and drift-repair cycle
@@ -248,6 +257,7 @@ type StatsResponse struct {
 	Server   ServerStats             `json:"server"`
 	Engine   engine.Stats            `json:"engine"`
 	Coalesce CoalesceStats           `json:"coalesce"`
+	Memo     MemoStats               `json:"memo"`
 	Sessions SessionsStats           `json:"sessions"`
 	Store    *StoreStats             `json:"store,omitempty"`
 	Latency  map[string]LatencyStats `json:"latency,omitempty"`

@@ -31,7 +31,7 @@
 //	DELETE /v1/sessions/{id}                                -> 204
 //	GET    /v1/algorithms          registered solvers + parameter schemas
 //	GET    /healthz                liveness + drain state
-//	GET    /v1/stats               StatsResponse (engine + admission + coalescing + sessions + store)
+//	GET    /v1/stats               StatsResponse (engine + admission + coalescing + memo + sessions + store)
 //	GET    /metrics                the tagged /v1/stats counters plus computed gauges
 //	                               (mean solve time, SLO and latency), Prometheus text
 //
@@ -54,9 +54,21 @@
 // All request bodies are decoded strictly: unknown fields and trailing
 // content are rejected with 400, so a misspelled field fails loudly instead
 // of solving a silently-zeroed instance, and a body over 8 MiB gets 413.
+//
+// /v1/solve reads its body whole, into a buffer sized from Content-Length,
+// and keeps a decode memo (memo.go) in front of the decode: a body it has
+// answered before, byte for byte, reuses the validated instance and
+// algorithm selection decoded the first time, so a group asking again for a
+// cached configuration pays for reading and hashing its body, not for
+// parsing it. The deadline, the solver selection with its SLO reroute and
+// the engine call stay per request. The memo's hits, misses and evictions
+// are in /v1/stats and /metrics. Because the whole body is read before any
+// parsing, an oversized /v1/solve body is 413 even when its first bytes are
+// malformed; the other routes decode as they read.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -169,6 +181,8 @@ type Server struct {
 	tel  *telemetry.Tracker
 	ctrl *telemetry.Controller
 
+	memo *solveMemo // /v1/solve bodies already decoded
+
 	// sem holds one token per admitted request; Shutdown drains the server
 	// by acquiring every token after flipping draining, so "all tokens held
 	// by Shutdown" == "no request in flight".
@@ -222,6 +236,7 @@ func New(opts Options) (*Server, error) {
 		opts: opts,
 		sem:  make(chan struct{}, opts.MaxInFlight),
 		tel:  opts.Telemetry,
+		memo: newSolveMemo(),
 	}
 	if len(opts.SLOs) > 0 {
 		ctrl, err := telemetry.NewController(telemetry.ControllerOptions{
@@ -462,30 +477,41 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var sr SolveRequest
-	if !s.decode(w, r, "decoding instance", &sr) {
+	body, ok := s.readBody(w, r, "decoding instance")
+	if !ok {
 		return
 	}
-	in, err := core.InstanceFromJSON(&sr.InstanceJSON)
-	if err != nil {
-		s.badRequest(w, http.StatusBadRequest, err.Error())
-		return
+	input, hash, hit := s.memo.get(body)
+	if !hit {
+		var sr SolveRequest
+		if !s.bodyOK(w, "decoding instance", core.DecodeStrict(bytes.NewReader(body), &sr)) {
+			return
+		}
+		in, err := core.InstanceFromJSON(&sr.InstanceJSON)
+		if err != nil {
+			s.badRequest(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		input = solveInput{in: in, algo: sr.Algo, params: sr.Params}
 	}
-	solver, _, degraded, err := s.selectSolver(sr.Algo, sr.Params, 0)
+	solver, _, degraded, err := s.selectSolver(input.algo, input.params, 0)
 	if err != nil {
 		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if degraded {
-		s.noteDegraded(sr.Algo)
+		s.noteDegraded(input.algo)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	start := time.Now()
-	sol, err := s.eng.SolveWith(ctx, in, solver)
+	sol, err := s.eng.SolveWith(ctx, input.in, solver)
 	if err != nil {
 		s.writeSolveError(w, err)
 		return
+	}
+	if !hit {
+		s.memo.put(hash, body, input)
 	}
 	resp := solveResponse(sol, time.Since(start))
 	resp.Degraded = degraded
@@ -609,7 +635,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsSnapshot assembles the /v1/stats payload: engine counters (global and
-// per algorithm), admission counters and coalescing counters.
+// per algorithm), admission counters, coalescing counters and the solve
+// memo's counters.
 func (s *Server) StatsSnapshot() StatsResponse {
 	eng := s.eng.Stats()
 	resp := StatsResponse{
@@ -625,6 +652,7 @@ func (s *Server) StatsSnapshot() StatsResponse {
 		},
 		Engine:   eng,
 		Coalesce: CoalesceStats{Enabled: true, CoalesceStats: eng.CoalesceStats},
+		Memo:     s.memo.snapshot(),
 	}
 	resp.Sessions = SessionsStats{
 		Enabled:     true,
@@ -665,11 +693,26 @@ func (s *Server) StatsSnapshot() StatsResponse {
 }
 
 // decode reads the request body strictly into v and reports whether it
-// did, answering a failure itself: a body over maxBodyBytes is 413 (the
-// client should not blindly retry a "malformed" 400), everything else —
-// malformed JSON, unknown fields, trailing content — is 400.
+// did, answering a failure itself (see bodyOK).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := core.DecodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	return s.bodyOK(w, what, core.DecodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v))
+}
+
+// readBody reads the whole request body into a buffer sized from
+// Content-Length and reports whether it did, answering a failure itself
+// (see bodyOK).
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	// MinRead spare bytes let ReadFrom see EOF without growing the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyBytes)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return buf.Bytes(), s.bodyOK(w, what, err)
+}
+
+// bodyOK reports whether reading or decoding a request body succeeded,
+// answering a failure itself: a body over maxBodyBytes is 413 (the client
+// should not blindly retry a "malformed" 400), everything else — a failed
+// read, malformed JSON, unknown fields, trailing content — is 400.
+func (s *Server) bodyOK(w http.ResponseWriter, what string, err error) bool {
 	var mbe *http.MaxBytesError
 	switch {
 	case err == nil:

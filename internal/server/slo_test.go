@@ -86,7 +86,7 @@ func TestSLODegradeShedRecover(t *testing.T) {
 
 	// Burn the budget: bad samples dominate the window, the next request's
 	// admission check re-evaluates and degrades, and the ip request lands on
-	// the fallback, marked.
+	// the fallback, marked — though its body comes from the decode memo.
 	burnSolve(tr, 10, 200*time.Millisecond)
 	clk.Advance(250 * time.Millisecond)
 	resp, data = postJSON(t, ts.URL+"/v1/solve", ipBody)
@@ -98,6 +98,9 @@ func TestSLODegradeShedRecover(t *testing.T) {
 		t.Fatalf("burning ip solve: algorithm %q degraded %v, want AVG-D degraded", sr.Algorithm, sr.Degraded)
 	}
 	st := stats()
+	if st.Memo.Hits != 1 {
+		t.Fatalf("memo = %+v, want the degraded ip solve answered from the memo", st.Memo)
+	}
 	if st.SLO == nil || st.SLO.Level != "degrade" {
 		t.Fatalf("slo = %+v, want level degrade", st.SLO)
 	}
