@@ -85,7 +85,7 @@ bench-lp:
 # perfbench-shaped groups, each solved once before the timer, to the
 # in-process /v1/solve handler, so its body is read, found in the decode memo,
 # fingerprinted and answered from the result cache. ns/op moves with the
-# host; allocs/op and B/op (about one body) do not.
+# host; allocs/op does not, and B/op (about one body) only by a few bytes.
 bench-hot:
 	$(GO) test ./internal/server -run='^$$' -bench='^BenchmarkSolveHit$$' -benchmem -benchtime=4000x \
 		| $(GO) run ./cmd/benchjson -o BENCH_hot.json
