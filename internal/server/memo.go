@@ -30,11 +30,11 @@ type solveInput struct {
 }
 
 // solveMemo maps /v1/solve request bodies to their decoded inputs, so a
-// repeated body skips JSON parsing and the instance build. Entries are found by a
-// maphash of the body and confirmed by byte equality, and are evicted least
-// recently used once the held bodies exceed memoBudget. The caller stores an
-// input only after its request succeeded, so the memo holds nothing a
-// request was refused for.
+// repeated body skips JSON parsing and the instance build. Entries are
+// found by a maphash of the body and confirmed by byte equality, and are
+// evicted least recently used once the held bodies exceed memoBudget. The
+// caller stores an input only after its request succeeded, so the memo
+// holds nothing a request was refused for.
 type solveMemo struct {
 	seed   maphash.Seed
 	mu     sync.Mutex
