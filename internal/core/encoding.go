@@ -88,24 +88,11 @@ func UnmarshalInstance(data []byte) (*Instance, error) {
 // instance; ingestion paths fed by users — the CLI and the svgicd HTTP
 // server — must use the strict form.
 func UnmarshalInstanceStrict(data []byte) (*Instance, error) {
-	ij, err := DecodeInstanceJSONStrict(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	return InstanceFromJSON(ij)
-}
-
-// DecodeInstanceJSONStrict reads one InstanceJSON document from r, rejecting
-// unknown fields and trailing garbage. The caller finishes with
-// InstanceFromJSON (which validates); it is split out so ingestion paths
-// that extend the schema (e.g. the CLI's sizeCap/dtel envelope) can reuse
-// the strictness rules on their own wrapper types via StrictDecoder.
-func DecodeInstanceJSONStrict(r io.Reader) (*InstanceJSON, error) {
 	var ij InstanceJSON
-	if err := DecodeStrict(r, &ij); err != nil {
+	if err := DecodeStrict(bytes.NewReader(data), &ij); err != nil {
 		return nil, fmt.Errorf("core: decoding instance: %w", err)
 	}
-	return &ij, nil
+	return InstanceFromJSON(&ij)
 }
 
 // DecodeStrict decodes exactly one JSON document from r into v with unknown

@@ -5,9 +5,8 @@ import (
 )
 
 // Extensions of Section 5 of the paper: commodity values (A), layout slot
-// significance (B), multi-view display (C), generalized group-wise social
-// benefits (D) and subgroup-change smoothing (E). The dynamic scenario (F)
-// lives in dynamic.go.
+// significance (B), multi-view display (C) and subgroup-change smoothing
+// (E). The dynamic scenario (F) lives in dynamic.go.
 
 // WeightedInstance returns a copy of the instance with every utility of item
 // c scaled by weight[c] (Extension A: commodity values ω_c). Any SVGIC solver
@@ -179,47 +178,6 @@ func EvaluateMVD(in *Instance, mv *MultiViewConfig) Report {
 	// Shared views are double counted per direction above only when both
 	// directions exist, matching Definition 3's per-user sums.
 	return rep
-}
-
-// GroupSocialFunc is a generalized group-wise social model (Extension D):
-// the utility user u obtains from viewing item c together with the maximal
-// co-display subgroup `others` (u excluded).
-type GroupSocialFunc func(u int, others []int, c int) float64
-
-// EvaluateGroupwise scores a configuration under a group-wise social model:
-// for every slot, every user's social term is τ(u, V, c) for the maximal
-// subgroup V co-displayed c with u.
-func EvaluateGroupwise(in *Instance, conf *Configuration, gs GroupSocialFunc) float64 {
-	var pref, soc float64
-	for s := 0; s < conf.K; s++ {
-		for it, members := range conf.SubgroupsAt(s) {
-			for _, u := range members {
-				pref += in.Pref[u][it]
-				if len(members) > 1 {
-					others := make([]int, 0, len(members)-1)
-					for _, v := range members {
-						if v != u {
-							others = append(others, v)
-						}
-					}
-					soc += gs(u, others, it)
-				}
-			}
-		}
-	}
-	return (1-in.Lambda)*pref + in.Lambda*soc
-}
-
-// PairwiseGroupSocial adapts the instance's pairwise τ into a GroupSocialFunc
-// (the special case noted in Extension D).
-func PairwiseGroupSocial(in *Instance) GroupSocialFunc {
-	return func(u int, others []int, c int) float64 {
-		var s float64
-		for _, v := range others {
-			s += in.Tau(u, v, c)
-		}
-		return s
-	}
 }
 
 // StabilizeSubgroups reorders the slots of a configuration to minimize the

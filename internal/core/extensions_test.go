@@ -97,39 +97,6 @@ func TestGreedyMVDInvariants(t *testing.T) {
 	}
 }
 
-func TestEvaluateGroupwisePairwiseConsistency(t *testing.T) {
-	// With the pairwise adapter, the group-wise objective equals Definition 3.
-	err := quick.Check(func(seed uint16) bool {
-		in := randomInstance(uint64(seed), 5, 6, 2, 0.5)
-		conf, _, err := SolveAVGD(in, AVGDOptions{})
-		if err != nil {
-			return false
-		}
-		gw := EvaluateGroupwise(in, conf, PairwiseGroupSocial(in))
-		return math.Abs(gw-Evaluate(in, conf).Weighted()) < 1e-9
-	}, &quick.Config{MaxCount: 25})
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEvaluateGroupwiseSuperadditive(t *testing.T) {
-	// A strictly superadditive group model rewards bigger subgroups more
-	// than the pairwise sum.
-	in := randomInstance(33, 6, 8, 2, 0.5)
-	conf, _, err := SolveAVGD(in, AVGDOptions{R: 0.1}) // group-like
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair := PairwiseGroupSocial(in)
-	super := func(u int, others []int, c int) float64 {
-		return pair(u, others, c) * (1 + 0.1*float64(len(others)))
-	}
-	if EvaluateGroupwise(in, conf, super) < EvaluateGroupwise(in, conf, pair) {
-		t.Error("superadditive model scored below the pairwise model")
-	}
-}
-
 func TestStabilizeSubgroupsNeverWorse(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		in := randomInstance(seed, 8, 10, 4, 0.5)

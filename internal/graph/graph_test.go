@@ -322,59 +322,6 @@ func TestModularityEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := New(5)
-	g.AddMutualEdge(0, 1)
-	g.AddMutualEdge(0, 2)
-	g.AddMutualEdge(0, 3)
-	h := DegreeHistogram(g)
-	if h[0] != 1 { // vertex 4 isolated
-		t.Errorf("bucket 0 = %d", h[0])
-	}
-	if h[1] != 3 || h[3] != 1 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
-func TestReciprocity(t *testing.T) {
-	g := New(3)
-	g.AddMutualEdge(0, 1)
-	g.AddEdge(1, 2)
-	if r := Reciprocity(g); r != 0.5 {
-		t.Errorf("reciprocity = %v, want 0.5", r)
-	}
-	if r := Reciprocity(Empty(3)); r != 0 {
-		t.Errorf("empty reciprocity = %v", r)
-	}
-}
-
-func TestAveragePathLength(t *testing.T) {
-	// Path graph 0-1-2: pairs (0,1)=1, (1,2)=1, (0,2)=2 → mean 4/3.
-	g := New(3)
-	g.AddMutualEdge(0, 1)
-	g.AddMutualEdge(1, 2)
-	if got := AveragePathLength(g, 0); got < 1.33 || got > 1.34 {
-		t.Errorf("average path length = %v, want 4/3", got)
-	}
-	if got := AveragePathLength(Complete(6), 0); got != 1 {
-		t.Errorf("clique path length = %v, want 1", got)
-	}
-}
-
-func TestDegreeAssortativityDisassortativeStar(t *testing.T) {
-	// A star is maximally disassortative.
-	g := New(6)
-	for v := 1; v < 6; v++ {
-		g.AddMutualEdge(0, v)
-	}
-	if a := DegreeAssortativity(g); a >= 0 {
-		t.Errorf("star assortativity = %v, want < 0", a)
-	}
-	if a := DegreeAssortativity(Empty(3)); a != 0 {
-		t.Errorf("empty assortativity = %v", a)
-	}
-}
-
 // TestAddVertexMatchesRebuild grows a clone of a random directed graph —
 // one-way edges in both directions, inserted in random order — vertex by
 // vertex, and checks after each AddVertex that every order equals that of

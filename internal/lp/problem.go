@@ -17,18 +17,6 @@ const (
 	EQ           // a·x = b
 )
 
-func (o Op) String() string {
-	switch o {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "="
-	}
-	return "?"
-}
-
 // Constraint is one sparse row a·x (op) rhs.
 type Constraint struct {
 	Idx  []int

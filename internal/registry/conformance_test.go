@@ -9,8 +9,11 @@ import (
 
 	"github.com/svgic/svgic/internal/core"
 	"github.com/svgic/svgic/internal/datasets"
+	"github.com/svgic/svgic/internal/graph"
+	"github.com/svgic/svgic/internal/mip"
 	"github.com/svgic/svgic/internal/paperex"
 	"github.com/svgic/svgic/internal/registry"
+	"github.com/svgic/svgic/internal/stats"
 	"github.com/svgic/svgic/internal/utility"
 )
 
@@ -191,6 +194,54 @@ func TestConformanceCoversRegistry(t *testing.T) {
 	for _, w := range want {
 		if !found[w] {
 			t.Errorf("built-in %q missing from the registry", w)
+		}
+	}
+}
+
+// TestIPMatchesBruteForce is the registry-level exactness oracle: on seeded
+// tiny instances of every shape n ≤ 4, m ≤ 4, k ≤ 2, registry "ip" reaches
+// mip.BruteForce's optimum, and no other registered solver scores above it.
+func TestIPMatchesBruteForce(t *testing.T) {
+	ctx := context.Background()
+	solvers := map[string]core.Solver{}
+	for _, spec := range registry.Specs() {
+		s, err := registry.New(spec.Name, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		solvers[spec.Name] = s
+	}
+	const seeds = 24
+	for seed := uint64(1); seed <= seeds; seed++ {
+		n := 2 + int(seed%3)
+		k := 1 + int(seed/3%2)
+		m := k + int(seed/6%uint64(5-k))
+		r := stats.NewRand(seed)
+		in := core.NewInstance(graph.ErdosRenyi(n, 0.6, r), m, k, []float64{0.3, 0.5, 0.8}[seed%3])
+		params := utility.Defaults()
+		params.Topics = 4
+		utility.Populate(in, params, seed+100)
+
+		bf, err := mip.BruteForce(in, 0)
+		if err != nil {
+			t.Fatalf("seed %d (n=%d m=%d k=%d): brute force: %v", seed, n, m, k, err)
+		}
+		opt := core.Evaluate(in, bf.Config).Weighted()
+		if math.Abs(opt-bf.Objective) > 1e-9 {
+			t.Fatalf("seed %d: brute force reports %.12f, its configuration evaluates to %.12f", seed, bf.Objective, opt)
+		}
+		for name, s := range solvers {
+			sol, err := s.Solve(ctx, in)
+			if err != nil {
+				t.Fatalf("seed %d (n=%d m=%d k=%d): %s: %v", seed, n, m, k, name, err)
+			}
+			got := sol.Report.Weighted()
+			switch {
+			case name == "ip" && math.Abs(got-opt) > 1e-9:
+				t.Errorf("seed %d (n=%d m=%d k=%d): ip %.12f != brute-force optimum %.12f", seed, n, m, k, got, opt)
+			case got > opt+1e-9:
+				t.Errorf("seed %d (n=%d m=%d k=%d): %s %.12f beats the brute-force optimum %.12f", seed, n, m, k, name, got, opt)
+			}
 		}
 	}
 }

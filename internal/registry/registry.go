@@ -230,22 +230,6 @@ func MustNew(name string, p Params) core.Solver {
 	return s
 }
 
-// Key returns the canonical cache key New would assign for the named solver
-// under the given parameters, without constructing it — for callers building
-// their own memoization or coalescing layers on top of the registry (the
-// counterpart of core.Fingerprint on the instance side).
-func Key(name string, p Params) (string, error) {
-	spec, ok := Lookup(name)
-	if !ok {
-		return "", fmt.Errorf("registry: unknown solver %q (known: %s)", name, strings.Join(Names(), ", "))
-	}
-	resolved, err := resolve(spec, p)
-	if err != nil {
-		return "", err
-	}
-	return canonicalKey(spec, resolved), nil
-}
-
 // resolve validates caller parameters against the schema and fills defaults.
 func resolve(spec Spec, p Params) (Resolved, error) {
 	byName := make(map[string]ParamSpec, len(spec.Params))

@@ -13,6 +13,7 @@ import (
 	"github.com/svgic/svgic/internal/datasets"
 	"github.com/svgic/svgic/internal/engine"
 	"github.com/svgic/svgic/internal/registry"
+	"github.com/svgic/svgic/internal/session"
 	"github.com/svgic/svgic/internal/utility"
 )
 
@@ -22,7 +23,7 @@ func newAlgoServer(t *testing.T) (*Server, *engine.Engine, *httptest.Server) {
 	t.Helper()
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +206,7 @@ func TestDefaultParamsBackExplicitDefaultAlgo(t *testing.T) {
 	t.Cleanup(eng.Close)
 	srv, err := New(Options{
 		Engine:        eng,
+		Sessions:      testManager(t, eng, session.Options{}),
 		DefaultAlgo:   "avgd",
 		DefaultParams: registry.Params{"r": 1.0},
 	})
@@ -257,7 +259,7 @@ func TestDefaultParamsBackExplicitDefaultAlgo(t *testing.T) {
 	}
 
 	// Invalid DefaultParams fail at construction, not on the first request.
-	if _, err := New(Options{Engine: eng, DefaultParams: registry.Params{"bogus": 1}}); err == nil {
+	if _, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{}), DefaultParams: registry.Params{"bogus": 1}}); err == nil {
 		t.Error("bad DefaultParams accepted at server construction")
 	}
 }
@@ -364,7 +366,7 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 func TestLPDeadlineFreesWorker(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,8 +419,8 @@ func FuzzResolveSolver(f *testing.F) {
 		f.Add(seed.algo, []byte(seed.params), seed.sizeCap)
 	}
 	eng := engine.New(engine.Options{Workers: 1})
-	defer eng.Close()
-	srv, err := New(Options{Engine: eng, DefaultParams: registry.Params{"r": 1.0}})
+	f.Cleanup(eng.Close)
+	srv, err := New(Options{Engine: eng, Sessions: testManager(f, eng, session.Options{}), DefaultParams: registry.Params{"r": 1.0}})
 	if err != nil {
 		f.Fatal(err)
 	}

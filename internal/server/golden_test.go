@@ -46,11 +46,7 @@ func goldenTraffic(t *testing.T) *httptest.Server {
 	t.Cleanup(func() { st.Close() })
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
-	mgr, err := session.NewManager(session.Options{Engine: eng, Persister: st, SnapshotEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(mgr.Close)
+	mgr := testManager(t, eng, session.Options{Persister: st, SnapshotEvery: 8})
 	obj, tr, clk := sloObjective(t)
 	srv, err := New(Options{
 		Engine:    eng,

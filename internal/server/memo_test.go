@@ -15,6 +15,7 @@ import (
 	"github.com/svgic/svgic/internal/core"
 	"github.com/svgic/svgic/internal/datasets"
 	"github.com/svgic/svgic/internal/engine"
+	"github.com/svgic/svgic/internal/session"
 	"github.com/svgic/svgic/internal/utility"
 )
 
@@ -34,8 +35,8 @@ func postSolve(srv *Server, body []byte) *httptest.ResponseRecorder {
 }
 
 // elapsed and timings match a solve response's request wall time, and
-// that with the solver's, each with its leading comma: a time under 1µs
-// reads 0 and is omitted, so a match removes the whole member.
+// that with the solver's, each with its leading comma, so a match removes
+// the whole member.
 var (
 	elapsed = regexp.MustCompile(`,"elapsedMs":[^,}]*`)
 	timings = regexp.MustCompile(`,"(elapsedMs|solveMs)":[^,}]*`)
@@ -48,7 +49,7 @@ var (
 func TestSolveMemoStoresOnlySuccesses(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +125,38 @@ func TestSolveMemoHitMatchesMiss(t *testing.T) {
 		if m, h := elapsed.ReplaceAll(miss, nil), elapsed.ReplaceAll(hit, nil); !bytes.Equal(m, h) {
 			t.Errorf("hit differs from miss:\n%s\n%s", h, m)
 		}
+	}
+}
+
+// TestFastHitKeepsTimings: the engine answers a memo-and-cache hit of a
+// 2-user instance in about a microsecond, often less, and each of 1,000
+// such answers must still carry a positive elapsedMs (and the cached
+// solve's solveMs).
+func TestFastHitKeepsTimings(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	t.Cleanup(eng.Close)
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"users":2,"items":2,"slots":1,"lambda":0.5,"edges":[{"from":0,"to":1}],"preferences":[[1,0],[0,1]]}`)
+	if rec := postSolve(srv, body); rec.Code != http.StatusOK {
+		t.Fatalf("setup solve: status %d: %s", rec.Code, rec.Body)
+	}
+	const hits = 1000
+	for i := 0; i < hits; i++ {
+		rec := postSolve(srv, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("hit %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		var sr SolveResponse
+		decodeInto(t, rec.Body.Bytes(), &sr)
+		if !(sr.ElapsedMS > 0) || !(sr.SolveMS > 0) {
+			t.Fatalf("hit %d lost its timings: %s", i, rec.Body)
+		}
+	}
+	if st := srv.StatsSnapshot(); st.Memo.Hits != hits || st.Engine.CacheHits != hits {
+		t.Errorf("memo hits %d, cache hits %d, want %d of each", st.Memo.Hits, st.Engine.CacheHits, hits)
 	}
 }
 
@@ -226,8 +259,8 @@ func TestSolveMemoSharedInstanceRace(t *testing.T) {
 // answered 200 (within memoMaxBody) must be.
 func FuzzSolveMemo(f *testing.F) {
 	eng := engine.New(engine.Options{Workers: 1})
-	defer eng.Close()
-	srv, err := New(Options{Engine: eng})
+	f.Cleanup(eng.Close)
+	srv, err := New(Options{Engine: eng, Sessions: testManager(f, eng, session.Options{})})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -275,8 +308,8 @@ func hotBodies(tb testing.TB) [][]byte {
 // groups are solved once before the timer.
 func BenchmarkSolveHit(b *testing.B) {
 	eng := engine.New(engine.Options{Workers: 2})
-	defer eng.Close()
-	srv, err := New(Options{Engine: eng})
+	b.Cleanup(eng.Close)
+	srv, err := New(Options{Engine: eng, Sessions: testManager(b, eng, session.Options{})})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/svgic/svgic/internal/engine"
+	"github.com/svgic/svgic/internal/session"
 	"github.com/svgic/svgic/internal/telemetry"
 )
 
@@ -131,7 +132,7 @@ func TestMetricsHistogramsConsistentWhileRecording(t *testing.T) {
 	tr := telemetry.NewTracker(telemetry.TrackerOptions{})
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng, Telemetry: tr})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{}), Telemetry: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestMetricsEscapesLabelValues(t *testing.T) {
 	tr.Record(series, 5*time.Millisecond)
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng, Telemetry: tr, SLOs: []telemetry.Objective{obj}})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{}), Telemetry: tr, SLOs: []telemetry.Objective{obj}})
 	if err != nil {
 		t.Fatal(err)
 	}

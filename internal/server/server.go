@@ -18,7 +18,8 @@
 //     flash-crowd case the result cache cannot help with, because nothing is
 //     cached until the first solve completes;
 //   - graceful shutdown: Shutdown stops admitting, drains every in-flight
-//     solve, and only then lets the caller close the engine.
+//     solve, and only then lets the caller close the session manager and
+//     the engine.
 //
 // Endpoints:
 //
@@ -45,11 +46,12 @@
 // The /v1/sessions endpoints are the live-session subsystem (the paper's
 // Extension F as a serving path): ID-keyed versioned sessions over a
 // session.Manager with serialized event application, bounded admission, TTL
-// eviction and background drift repair. See internal/session. With
-// Options.Store set, every persisted session is recovered — snapshot +
-// WAL-tail replay — before the server takes its first request, and served
-// at the exact (version, value, configuration) it had before the restart.
-// See internal/store.
+// eviction and background drift repair. See internal/session. The caller
+// builds the manager (Options.Sessions) and closes it after Shutdown; the
+// server owns neither it nor the engine. With Options.Store set, every
+// persisted session is recovered — snapshot + WAL-tail replay — before the
+// server takes its first request, and served at the exact (version, value,
+// configuration) it had before the restart. See internal/store.
 //
 // All request bodies are decoded strictly: unknown fields and trailing
 // content are rejected with 400, so a misspelled field fails loudly instead
@@ -134,10 +136,8 @@ type Options struct {
 	// MaxBatch caps instances per batch request. Zero means DefaultMaxBatch.
 	MaxBatch int
 	// Sessions is the live-session manager backing the /v1/sessions
-	// endpoints. The server does not own it — close it after Shutdown, before
-	// the engine. Nil builds a loop-less default manager over Engine (bounded
-	// admission, but no TTL eviction and no background drift repair), which
-	// the server DOES own and closes at the end of Shutdown.
+	// endpoints. Required; the server owns no manager — close it after
+	// Shutdown, before the engine.
 	Sessions *session.Manager
 	// Store is the durable session store. When set, New recovers every
 	// persisted session into the manager before the server can take a
@@ -170,11 +170,10 @@ type Options struct {
 
 // Server is the svgicd HTTP handler. Create with New, stop with Shutdown.
 type Server struct {
-	eng    *engine.Engine
-	mgr    *session.Manager
-	ownMgr bool // New built mgr itself (Options.Sessions was nil): Shutdown closes it
-	opts   Options
-	mux    *http.ServeMux
+	eng  *engine.Engine
+	mgr  *session.Manager
+	opts Options
+	mux  *http.ServeMux
 
 	// tel records per-route latency; ctrl (nil without Options.SLOs) walks
 	// the degradation ladder over it.
@@ -197,10 +196,13 @@ type Server struct {
 	clientClosed atomic.Uint64
 }
 
-// New builds a Server over an engine.
+// New builds a Server over an engine and a session manager.
 func New(opts Options) (*Server, error) {
 	if opts.Engine == nil {
 		return nil, errors.New("server: Options.Engine is required")
+	}
+	if opts.Sessions == nil {
+		return nil, errors.New("server: Options.Sessions is required")
 	}
 	opts.DefaultAlgo = strings.ToLower(opts.DefaultAlgo)
 	if opts.DefaultAlgo == "" {
@@ -233,6 +235,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		eng:  opts.Engine,
+		mgr:  opts.Sessions,
 		opts: opts,
 		sem:  make(chan struct{}, opts.MaxInFlight),
 		tel:  opts.Telemetry,
@@ -248,30 +251,8 @@ func New(opts Options) (*Server, error) {
 		}
 		s.ctrl = ctrl
 	}
-	s.mgr = opts.Sessions
-	if s.mgr == nil {
-		// The default manager persists through Options.Store when one is
-		// given — otherwise recovered sessions would be served but their
-		// subsequent transitions silently dropped, and the NEXT restart
-		// would resurrect stale state.
-		mopts := session.Options{Engine: opts.Engine}
-		if opts.Store != nil {
-			mopts.Persister = opts.Store
-		}
-		mgr, err := session.NewManager(mopts)
-		if err != nil {
-			return nil, fmt.Errorf("server: session manager: %w", err)
-		}
-		s.mgr = mgr
-		s.ownMgr = true
-	}
 	if opts.Store != nil {
 		if err := s.recoverSessions(); err != nil {
-			// A manager New built itself has no other owner to stop its
-			// background loop.
-			if s.ownMgr {
-				s.mgr.Close()
-			}
 			return nil, err
 		}
 	}
@@ -304,17 +285,14 @@ func (s *Server) route(pattern, series string, h http.HandlerFunc) {
 	})
 }
 
-// Sessions returns the live-session manager serving /v1/sessions.
-func (s *Server) Sessions() *session.Manager { return s.mgr }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Shutdown drains the server: new requests are refused with 503, in-flight
 // solves run to completion, and once every admission token is reclaimed the
-// call returns — after which it is safe to Engine.Close. The context bounds
-// the wait; on expiry the server stays draining but some requests may still
-// be in flight.
+// call returns — after which it is safe to close the session manager, then
+// the engine. The context bounds the wait; on expiry the server stays
+// draining but some requests may still be in flight.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	for i := 0; i < cap(s.sem); i++ {
@@ -324,17 +302,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			return fmt.Errorf("server: drain interrupted with requests in flight: %w", ctx.Err())
 		}
 	}
-	// A manager the server built itself (Options.Sessions was nil) has no
-	// other owner; close it now that no request can touch it. A
-	// caller-supplied manager stays the caller's to close.
-	if s.ownMgr {
-		s.mgr.Close()
-	}
 	return nil
 }
-
-// Draining reports whether Shutdown has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // admit reserves an in-flight slot, writing the refusal response itself when
 // the server is draining (503) or saturated (429, with Retry-After: 1). The
@@ -774,7 +743,9 @@ func solveResponse(sol *core.Solution, elapsed time.Duration) SolveResponse {
 	return resp
 }
 
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+// ms reports d in milliseconds at nanosecond resolution, so a sub-microsecond
+// answer still carries a positive elapsedMs.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -18,6 +18,7 @@ import (
 	"github.com/svgic/svgic/internal/core"
 	"github.com/svgic/svgic/internal/datasets"
 	"github.com/svgic/svgic/internal/engine"
+	"github.com/svgic/svgic/internal/session"
 	"github.com/svgic/svgic/internal/telemetry"
 )
 
@@ -64,11 +65,25 @@ func newGatedServer(t *testing.T, opts Options) (*Server, chan struct{}, *atomic
 	})
 	t.Cleanup(eng.Close)
 	opts.Engine = eng
+	opts.Sessions = testManager(t, eng, session.Options{})
 	srv, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return srv, gate, runs
+}
+
+// testManager builds the session manager a test server runs over, closed at
+// test cleanup — before eng, whose Close the caller registered first.
+func testManager(tb testing.TB, eng *engine.Engine, opts session.Options) *session.Manager {
+	tb.Helper()
+	opts.Engine = eng
+	mgr, err := session.NewManager(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(mgr.Close)
+	return mgr
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -108,7 +123,7 @@ func decodeInto(t *testing.T, data []byte, v any) {
 func TestSolveRoundTripMatchesSolveAVGD(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +167,7 @@ func TestSolveRoundTripMatchesSolveAVGD(t *testing.T) {
 func TestBatchRoundTrip(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +216,7 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestBatchCountsOneEngineBatch(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +247,7 @@ func TestBatchCountsOneEngineBatch(t *testing.T) {
 func TestStrictDecodeRejectsUnknownField(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +386,7 @@ func TestDeadlineMapsTo504(t *testing.T) {
 func TestClientCancelMapsTo499(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +404,24 @@ func TestClientCancelMapsTo499(t *testing.T) {
 	}
 }
 
+// TestNewRequiresEngineAndSessions: the server builds neither its engine nor
+// its session manager, so New refuses to run without either.
+func TestNewRequiresEngineAndSessions(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1})
+	t.Cleanup(eng.Close)
+	if _, err := New(Options{Sessions: testManager(t, eng, session.Options{})}); err == nil {
+		t.Error("New without an Engine succeeded")
+	}
+	if _, err := New(Options{Engine: eng}); err == nil {
+		t.Error("New without Sessions succeeded")
+	}
+}
+
 // TestClosedEngineMapsTo503: a solve and a batch on a closed engine both
 // answer 503, not 500: the engine is shut down, nothing inside it failed.
 func TestClosedEngineMapsTo503(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,18 +529,16 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		defer cancel()
 		shutdownDone <- srv.Shutdown(ctx)
 	}()
-	waitFor(t, "server to start draining", srv.Draining)
-
-	// New work is refused while draining...
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("healthz while draining: status %d, want 503", resp.StatusCode)
-	}
+	// New work is refused while draining: healthz turns 503...
+	waitFor(t, "healthz to report draining", func() bool {
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusServiceUnavailable
+	})
 	_, bodyB := testInstance(t, 2)
 	respB, _ := postJSON(t, ts.URL+"/v1/solve", bodyB)
 	if respB.StatusCode != http.StatusServiceUnavailable {
@@ -539,7 +565,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 func TestEvaluateEndpoint(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +620,7 @@ func TestEvaluateEndpoint(t *testing.T) {
 func TestOversizedBodyMapsTo413(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +645,7 @@ func TestOversizedBodyMapsTo413(t *testing.T) {
 func TestStatsAndLimits(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng, MaxBatch: 2})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{}), MaxBatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -702,7 +728,7 @@ func TestRoutesAdmitAndTimeOnce(t *testing.T) {
 	tr := telemetry.NewTracker(telemetry.TrackerOptions{})
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng, Telemetry: tr})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{}), Telemetry: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,7 @@ func newSessionServer(t *testing.T, mopts session.Options, sopts Options) (*http
 	t.Helper()
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
-	mopts.Engine = eng
-	mgr, err := session.NewManager(mopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(mgr.Close)
+	mgr := testManager(t, eng, mopts)
 	sopts.Engine = eng
 	sopts.Sessions = mgr
 	srv, err := New(sopts)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/svgic/svgic/internal/engine"
+	"github.com/svgic/svgic/internal/session"
 	"github.com/svgic/svgic/internal/telemetry"
 )
 
@@ -21,7 +22,7 @@ func sloObjective(t *testing.T) (telemetry.Objective, *telemetry.Tracker, *telem
 		t.Fatal(err)
 	}
 	clk := telemetry.NewManualClock(time.Unix(50000, 0))
-	tr := telemetry.NewTracker(telemetry.TrackerOptions{Clock: clk, Width: time.Minute, Buckets: 12})
+	tr := telemetry.NewTracker(telemetry.TrackerOptions{Clock: clk, Width: time.Minute})
 	return obj, tr, clk
 }
 
@@ -45,6 +46,7 @@ func TestSLODegradeShedRecover(t *testing.T) {
 	t.Cleanup(eng.Close)
 	srv, err := New(Options{
 		Engine:      eng,
+		Sessions:    testManager(t, eng, session.Options{}),
 		MaxInFlight: 4,
 		Telemetry:   tr,
 		SLOs:        []telemetry.Objective{obj},
@@ -252,6 +254,7 @@ func TestSLONoAdaptiveAdmission(t *testing.T) {
 	t.Cleanup(eng.Close)
 	srv, err := New(Options{
 		Engine:              eng,
+		Sessions:            testManager(t, eng, session.Options{}),
 		MaxInFlight:         4,
 		Telemetry:           tr,
 		SLOs:                []telemetry.Objective{obj},
@@ -296,7 +299,7 @@ func TestRejectedBatchCountsNoDegrade(t *testing.T) {
 	obj, tr, clk := sloObjective(t)
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv, err := New(Options{Engine: eng, Telemetry: tr, SLOs: []telemetry.Objective{obj}})
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{}), Telemetry: tr, SLOs: []telemetry.Objective{obj}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,9 +77,6 @@ type Session struct {
 // completed a repair cycle.
 const noRepairYet = ^uint64(0)
 
-// ID returns the session's identifier.
-func (s *Session) ID() string { return s.id }
-
 // ApplyResult reports the outcome of one event batch: the session's version
 // and objective value after the last applied event, plus one result per
 // applied event (positional with the request on success; on error, the

@@ -15,18 +15,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// At returns the fraction of sample points ≤ x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	for i < len(c.sorted) && c.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-th quantile (q in [0,1]) of the sample.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
@@ -45,16 +33,6 @@ func (c *CDF) Quantile(q float64) float64 {
 		return c.sorted[lo]
 	}
 	return c.sorted[lo]*(1-frac) + c.sorted[lo+1]*frac
-}
-
-// Points returns (x, F(x)) pairs sampled at the given x grid, suitable for
-// plotting a CDF curve like the regret-ratio figures of the paper.
-func (c *CDF) Points(grid []float64) [][2]float64 {
-	out := make([][2]float64, len(grid))
-	for i, x := range grid {
-		out[i] = [2]float64{x, c.At(x)}
-	}
-	return out
 }
 
 // Histogram counts the sample points of xs falling into nbins equal-width

@@ -21,9 +21,6 @@ func NewFenwick(n int) *Fenwick {
 	return &Fenwick{tree: make([]float64, n+1), vals: make([]float64, n)}
 }
 
-// Len returns the number of weights.
-func (f *Fenwick) Len() int { return len(f.vals) }
-
 // Set replaces the weight at index i. Negative weights are clamped to zero:
 // sampling weights are utility factors, which are non-negative by
 // construction, so a tiny negative value can only arise from floating-point

@@ -16,16 +16,3 @@ func NewRand(seed uint64) *rand.Rand {
 	// well-separated streams.
 	return rand.New(rand.NewPCG(seed, seed*0x9e3779b97f4a7c15+0xda942042e4dd58b5))
 }
-
-// Perm fills a permutation of [0, n) using r.
-func Perm(r *rand.Rand, n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

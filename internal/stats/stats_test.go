@@ -8,9 +8,6 @@ import (
 
 func TestFenwickBasics(t *testing.T) {
 	f := NewFenwick(5)
-	if f.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", f.Len())
-	}
 	f.Set(0, 1)
 	f.Set(2, 3)
 	f.Set(4, 0.5)
@@ -135,14 +132,6 @@ func TestTwoSampleTPValue(t *testing.T) {
 
 func TestCDF(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, tc := range cases {
-		if got := c.At(tc.x); got != tc.want {
-			t.Errorf("At(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
 	if q := c.Quantile(0); q != 1 {
 		t.Errorf("Quantile(0) = %v, want 1", q)
 	}
@@ -151,10 +140,6 @@ func TestCDF(t *testing.T) {
 	}
 	if q := c.Quantile(0.5); q < 1 || q > 3 {
 		t.Errorf("Quantile(0.5) = %v out of sample range", q)
-	}
-	pts := c.Points([]float64{0, 2})
-	if pts[0][1] != 0 || pts[1][1] != 0.75 {
-		t.Errorf("Points = %v", pts)
 	}
 }
 
@@ -242,18 +227,6 @@ func TestBetaRangeAndMean(t *testing.T) {
 	want := 2.6 / (2.6 + 2.2)
 	if math.Abs(mean-want) > 0.01 {
 		t.Errorf("Beta mean %v, want ≈ %v", mean, want)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRand(6)
-	p := Perm(r, 50)
-	seen := make([]bool, 50)
-	for _, x := range p {
-		if x < 0 || x >= 50 || seen[x] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[x] = true
 	}
 }
 

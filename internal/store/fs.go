@@ -39,9 +39,6 @@ func NewFS(dir string) (*FS, error) {
 	return &FS{root: dir}, nil
 }
 
-// Root returns the backend's data directory.
-func (f *FS) Root() string { return f.root }
-
 // validID rejects ids that could escape the sessions directory. Manager-
 // minted ids are [a-z0-9-] already; this is the trust boundary for any
 // other caller.

@@ -646,32 +646,66 @@ func TestStoreStress(t *testing.T) {
 	}
 }
 
-// faultLog wraps a real Log and fails Append on demand, optionally
-// reporting the failure as unhealable (ErrPoisoned).
+// faultOp names the Log call a faultBackend fails on demand.
+type faultOp int
+
+const (
+	faultAppend faultOp = iota
+	faultWriteSnapshot
+	faultTruncate
+	faultSync
+)
+
+// faultLog wraps a real Log and fails its backend's chosen call on demand,
+// an Append optionally reported as unhealable (ErrPoisoned).
 type faultLog struct {
 	Log
-	failNext *atomic.Int32 // >0: fail that many appends
-	poisoned bool          // report failures as ErrPoisoned
-	appends  *atomic.Int32
+	b *faultBackend
+}
+
+// fail reports whether this call of op is one to fail, consuming it.
+func (f *faultLog) fail(op faultOp) bool {
+	return f.b.op == op && f.b.failNext.Add(-1) >= 0
 }
 
 func (f *faultLog) Append(p []byte) error {
-	if f.failNext.Load() > 0 {
-		f.failNext.Add(-1)
-		if f.poisoned {
+	if f.fail(faultAppend) {
+		if f.b.poisoned {
 			return fmt.Errorf("injected: %w", ErrPoisoned)
 		}
 		return fmt.Errorf("injected transient append failure")
 	}
-	f.appends.Add(1)
+	f.b.appends.Add(1)
 	return f.Log.Append(p)
+}
+
+func (f *faultLog) WriteSnapshot(p []byte) error {
+	if f.fail(faultWriteSnapshot) {
+		return fmt.Errorf("injected snapshot write failure")
+	}
+	return f.Log.WriteSnapshot(p)
+}
+
+func (f *faultLog) Truncate() error {
+	if f.fail(faultTruncate) {
+		return fmt.Errorf("injected truncate failure")
+	}
+	return f.Log.Truncate()
+}
+
+func (f *faultLog) Sync() error {
+	if f.fail(faultSync) {
+		return fmt.Errorf("injected fsync failure")
+	}
+	return f.Log.Sync()
 }
 
 type faultBackend struct {
 	*FS
-	failNext atomic.Int32
-	poisoned bool
-	appends  atomic.Int32
+	op       faultOp      // the call failNext fails
+	failNext atomic.Int32 // >0: fail that many calls of op
+	poisoned bool         // report append failures as ErrPoisoned
+	appends  atomic.Int32 // appends that reached the real log
 }
 
 func (b *faultBackend) Open(id string) (Log, error) {
@@ -679,83 +713,117 @@ func (b *faultBackend) Open(id string) (Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultLog{Log: log, failNext: &b.failNext, poisoned: b.poisoned, appends: &b.appends}, nil
+	return &faultLog{Log: log, b: b}, nil
 }
 
-// TestPoisonedLogStopsAppendsUntilSnapshot: after an append failure that
-// may have left a mid-log tear, the store must NOT keep appending (those
-// records would be invisible behind the tear at recovery) — it drops and
-// counts them until a snapshot+truncate rebuilds the log, after which
-// appends flow again and recovery serves the snapshot-consistent state.
+// TestPoisonedLogStopsAppendsUntilSnapshot: after a log fault that may have
+// left a hole or a mid-log tear — a poisoned append, a failed snapshot
+// write, a failed truncate, a failed fsync under SyncAlways — the store must
+// NOT keep appending (recovery would reject those records, or never see
+// them behind the tear). It counts the fault, then drops and counts every
+// append until a snapshot+truncate rebuilds the log, after which appends
+// flow again and recovery serves the state after the heal exactly.
 func TestPoisonedLogStopsAppendsUntilSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFS(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend := &faultBackend{FS: fs, poisoned: true}
-	st, err := Open(Options{Backend: backend, Sync: SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(engine.Options{Workers: 2})
-	defer eng.Close()
-	mgr, err := session.NewManager(session.Options{Engine: eng, Persister: st, SnapshotEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _, err := mgr.CreateWith(context.Background(), testInstance(19), session.CreateSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebalance := []session.Event{{Type: session.EventRebalance, MaxPasses: 1}}
-	apply := func() {
-		t.Helper()
-		if _, err := mgr.Apply(snap.ID, rebalance); err != nil {
-			t.Fatal(err)
-		}
-	}
-	apply() // v1: durable
-	st.Barrier()
-	backend.failNext.Store(1)
-	apply() // v2: poisons the log
-	apply() // v3: MUST be dropped, not appended past the (possible) tear
-	st.Barrier()
-	if got := backend.appends.Load(); got != 1 {
-		t.Fatalf("%d records appended to a poisoned log, want 1 (pre-poison only)", got)
-	}
-	stt := st.Stats()
-	if stt.IOErrors != 2 { // the failed append + the dropped one
-		t.Fatalf("ioErrors = %d, want 2", stt.IOErrors)
-	}
-	apply() // v4: snapshot cadence (4 transitions) cuts here, rebuilding the log
-	apply() // v5: appends flow again
-	st.Barrier()
-	if got := st.Stats().Snapshots; got < 2 { // create + the healing cut
-		t.Fatalf("snapshots = %d, want ≥ 2", got)
-	}
-	if got := backend.appends.Load(); got != 2 {
-		t.Fatalf("appends after healing = %d, want 2 (pre-poison + post-snapshot)", got)
-	}
-	before, err := mgr.Snapshot(snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.Close()
-	st.Close()
+	const snapshotEvery = 4 // a snapshot is cut right after every 4th version's append
+	for _, tc := range []struct {
+		name   string
+		op     faultOp
+		policy SyncPolicy
+		hit    int // the version whose append or snapshot the fault breaks
+		heal   int // the version whose snapshot+truncate rebuilds the log
+	}{
+		{"append", faultAppend, SyncOff, 2, 4},
+		{"snapshot", faultWriteSnapshot, SyncOff, 4, 8},
+		{"truncate", faultTruncate, SyncOff, 4, 8},
+		{"sync", faultSync, SyncAlways, 2, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs, err := NewFS(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			backend := &faultBackend{FS: fs, op: tc.op, poisoned: true}
+			st, err := Open(Options{Backend: backend, Sync: tc.policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := engine.New(engine.Options{Workers: 2})
+			defer eng.Close()
+			mgr, err := session.NewManager(session.Options{Engine: eng, Persister: st, SnapshotEvery: snapshotEvery})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, _, err := mgr.CreateWith(context.Background(), testInstance(19), session.CreateSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebalance := []session.Event{{Type: session.EventRebalance, MaxPasses: 1}}
+			apply := func(v int) {
+				t.Helper()
+				res, err := mgr.Apply(snap.ID, rebalance)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Version != uint64(v) {
+					t.Fatalf("applied v%d, want v%d", res.Version, v)
+				}
+				st.Barrier()
+			}
+			apply(1) // durable
+			backend.failNext.Store(1)
+			wantAppends, wantErrs := int32(1), uint64(0)
+			for v := 2; v <= tc.heal+1; v++ {
+				apply(v)
+				switch {
+				case v == tc.hit && tc.op == faultAppend:
+					wantErrs++ // the failed append
+				case v == tc.hit && tc.op == faultSync:
+					wantAppends++ // written, then its fsync fails
+					wantErrs++
+				case v > tc.hit && v <= tc.heal:
+					wantErrs++ // dropped: the log is quarantined
+				default:
+					wantAppends++
+				}
+				if v == tc.hit && (tc.op == faultWriteSnapshot || tc.op == faultTruncate) {
+					wantErrs++ // the cut that follows this version's append
+				}
+				if got := backend.appends.Load(); got != wantAppends {
+					t.Fatalf("after v%d: %d records reached the log, want %d", v, got, wantAppends)
+				}
+				if got := st.Stats().IOErrors; got != wantErrs {
+					t.Fatalf("after v%d: ioErrors = %d, want %d", v, got, wantErrs)
+				}
+			}
+			if got := st.Stats().Compactions; got != 2 {
+				t.Fatalf("compactions = %d, want 2 (the creation cut and the healing one)", got)
+			}
+			before, err := mgr.Snapshot(snap.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr.Close()
+			st.Close()
 
-	s2, recs := reopen(t, dir, SyncOff, 4)
-	defer s2.close()
-	if len(recs) != 1 {
-		t.Fatalf("recovered %d sessions, want 1", len(recs))
+			s2, recs := reopen(t, dir, tc.policy, snapshotEvery)
+			defer s2.close()
+			if len(recs) != 1 {
+				t.Fatalf("recovered %d sessions, want 1", len(recs))
+			}
+			if got := s2.st.Stats().RecoveryErrors; got != 0 {
+				t.Fatalf("recovery errors = %d, want 0", got)
+			}
+			after, err := s2.mgr.Snapshot(snap.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The versions between the fault and the heal were lost (the
+			// documented degradation); everything from the healing snapshot
+			// on must be served exactly.
+			assertSameSession(t, before, after)
+		})
 	}
-	after, err := s2.mgr.Snapshot(snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v2/v3 were lost to the fault (the documented degradation); everything
-	// from the healing snapshot on — v4, v5 — must be served exactly.
-	assertSameSession(t, before, after)
 }
 
 // TestTransientAppendFailureQuarantines: a failed append — even one whose

@@ -16,7 +16,7 @@ import (
 func testController(t *testing.T) (*Controller, *Tracker, *ManualClock) {
 	t.Helper()
 	clk := NewManualClock(time.Unix(10000, 0))
-	tr := NewTracker(TrackerOptions{Clock: clk, Width: time.Minute, Buckets: 12})
+	tr := NewTracker(TrackerOptions{Clock: clk, Width: time.Minute})
 	obj, err := ParseObjective("p50 solve < 100ms over 60s")
 	if err != nil {
 		t.Fatal(err)

@@ -96,14 +96,6 @@ func (d *Digest) Count() uint64 { return uint64(d.count + 0.5) }
 // Sum reports the sum of all absorbed samples.
 func (d *Digest) Sum() float64 { return d.sum }
 
-// Min reports the smallest absorbed sample (0 when empty).
-func (d *Digest) Min() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	return d.min
-}
-
 // Max reports the largest absorbed sample (0 when empty).
 func (d *Digest) Max() float64 {
 	if d.count == 0 {

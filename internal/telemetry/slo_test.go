@@ -76,7 +76,7 @@ func TestParseObjectives(t *testing.T) {
 
 func TestTrackerBasics(t *testing.T) {
 	clk := NewManualClock(time.Unix(1000, 0))
-	tr := NewTracker(TrackerOptions{Clock: clk, Width: 12 * time.Second, Buckets: 12})
+	tr := NewTracker(TrackerOptions{Clock: clk, Width: 12 * time.Second})
 	if tr.Window("solve") != nil {
 		t.Fatal("unseen series must have no window")
 	}
@@ -103,7 +103,7 @@ func TestTrackerBasics(t *testing.T) {
 
 func TestTrackerEnsureWidens(t *testing.T) {
 	clk := NewManualClock(time.Unix(1000, 0))
-	tr := NewTracker(TrackerOptions{Clock: clk, Width: 12 * time.Second, Buckets: 12})
+	tr := NewTracker(TrackerOptions{Clock: clk, Width: 12 * time.Second})
 	tr.Ensure("solve", time.Minute)
 	if w := tr.Window("solve"); w == nil || w.Width() != time.Minute {
 		t.Fatalf("Ensure must widen past the tracker default, got %v", w.Width())

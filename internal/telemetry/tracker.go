@@ -14,9 +14,6 @@ type TrackerOptions struct {
 	// Width is the default sliding span of lazily-created series. Zero means
 	// DefaultWindowWidth. Ensure widens individual series past it.
 	Width time.Duration
-	// Buckets is the rotation granularity per series. Zero means
-	// DefaultWindowBuckets.
-	Buckets int
 }
 
 // Tracker is the named-series registry: one sliding Window per latency
@@ -26,9 +23,8 @@ type TrackerOptions struct {
 // "repair". All methods are safe for concurrent use; reads of a series that
 // never recorded report zero.
 type Tracker struct {
-	clock   Clock
-	width   time.Duration
-	buckets int
+	clock Clock
+	width time.Duration
 
 	mu     sync.RWMutex
 	series map[string]*Window
@@ -42,14 +38,10 @@ func NewTracker(o TrackerOptions) *Tracker {
 	if o.Width <= 0 {
 		o.Width = DefaultWindowWidth
 	}
-	if o.Buckets <= 0 {
-		o.Buckets = DefaultWindowBuckets
-	}
 	return &Tracker{
-		clock:   o.Clock,
-		width:   o.Width,
-		buckets: o.Buckets,
-		series:  make(map[string]*Window),
+		clock:  o.Clock,
+		width:  o.Width,
+		series: make(map[string]*Window),
 	}
 }
 
@@ -70,7 +62,7 @@ func (t *Tracker) window(name string, width time.Duration) *Window {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if w = t.series[name]; w == nil {
-		w = NewWindow(WindowOptions{Width: width, Buckets: t.buckets, Clock: t.clock})
+		w = NewWindow(WindowOptions{Width: width, Clock: t.clock})
 		t.series[name] = w
 	}
 	return w
@@ -89,7 +81,7 @@ func (t *Tracker) Ensure(name string, minWidth time.Duration) {
 	if w := t.series[name]; w != nil && w.Width() >= minWidth {
 		return
 	}
-	t.series[name] = NewWindow(WindowOptions{Width: minWidth, Buckets: t.buckets, Clock: t.clock})
+	t.series[name] = NewWindow(WindowOptions{Width: minWidth, Clock: t.clock})
 }
 
 // Record adds one latency sample to the named series.

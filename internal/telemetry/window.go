@@ -5,21 +5,20 @@ import (
 	"time"
 )
 
-// Defaults for WindowOptions zero values.
-const (
-	DefaultWindowWidth   = 5 * time.Minute
-	DefaultWindowBuckets = 12
-)
+// DefaultWindowWidth is the Width a zero WindowOptions or TrackerOptions
+// means.
+const DefaultWindowWidth = 5 * time.Minute
+
+// windowBuckets is every window's rotation granularity: a window is a ring
+// of Width/windowBuckets-wide digests, so old samples expire one bucket at a
+// time and a span reads at that resolution.
+const windowBuckets = 12
 
 // WindowOptions configures a Window.
 type WindowOptions struct {
 	// Width is the total sliding span a full-window read covers. Zero means
 	// DefaultWindowWidth.
 	Width time.Duration
-	// Buckets is the rotation granularity: the window is a ring of
-	// Width/Buckets-wide digests, so old samples expire one bucket at a
-	// time. Zero means DefaultWindowBuckets.
-	Buckets int
 	// Clock supplies time. Nil means SystemClock.
 	Clock Clock
 }
@@ -66,20 +65,17 @@ func NewWindow(o WindowOptions) *Window {
 	if o.Width <= 0 {
 		o.Width = DefaultWindowWidth
 	}
-	if o.Buckets <= 0 {
-		o.Buckets = DefaultWindowBuckets
-	}
 	if o.Clock == nil {
 		o.Clock = SystemClock{}
 	}
 	w := &Window{
 		clock:       o.Clock,
 		width:       o.Width,
-		bucketWidth: o.Width / time.Duration(o.Buckets),
-		// One extra slot beyond Buckets, so a full-width read still has a
-		// distinct slot for every covered bucket while the current (partial)
-		// bucket is being written.
-		slots: make([]bucket, o.Buckets+1),
+		bucketWidth: o.Width / windowBuckets,
+		// One extra slot beyond windowBuckets, so a full-width read still has
+		// a distinct slot for every covered bucket while the current
+		// (partial) bucket is being written.
+		slots: make([]bucket, windowBuckets+1),
 	}
 	if w.bucketWidth <= 0 {
 		w.bucketWidth = time.Nanosecond
@@ -132,23 +128,6 @@ func (w *Window) merged(over time.Duration) *Digest {
 	}
 	return out
 }
-
-// QuantileOver estimates the q-quantile (in seconds) over the trailing
-// `over` span; over ≤ 0 means the full width. Empty span reports 0.
-func (w *Window) QuantileOver(over time.Duration, q float64) float64 {
-	return w.merged(over).Quantile(q)
-}
-
-// Quantile estimates the q-quantile over the full window.
-func (w *Window) Quantile(q float64) float64 { return w.QuantileOver(0, q) }
-
-// CountOver reports the samples inside the trailing `over` span.
-func (w *Window) CountOver(over time.Duration) uint64 {
-	return w.merged(over).Count()
-}
-
-// Count reports the samples inside the full window.
-func (w *Window) Count() uint64 { return w.CountOver(0) }
 
 // Merged returns one digest of every sample inside the full window. The
 // caller owns it, so all reads of it see the same samples however many

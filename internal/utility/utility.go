@@ -15,7 +15,6 @@
 package utility
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 
@@ -44,19 +43,6 @@ func (m ModelKind) String() string {
 		return "GREE"
 	}
 	return "unknown"
-}
-
-// ParseModel converts a learner name ("piert", "agree", "gree").
-func ParseModel(name string) (ModelKind, error) {
-	switch name {
-	case "piert", "PIERT":
-		return PIERT, nil
-	case "agree", "AGREE":
-		return AGREE, nil
-	case "gree", "GREE":
-		return GREE, nil
-	}
-	return 0, fmt.Errorf("utility: unknown model %q", name)
 }
 
 // Params shapes the generative utility model. The zero value is unusable;

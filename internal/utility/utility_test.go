@@ -148,19 +148,7 @@ func TestCommunityMixAlignsFriends(t *testing.T) {
 	}
 }
 
-func TestParseModel(t *testing.T) {
-	for _, tc := range []struct {
-		s    string
-		want ModelKind
-	}{{"piert", PIERT}, {"AGREE", AGREE}, {"gree", GREE}} {
-		got, err := ParseModel(tc.s)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseModel(%q) = %v, %v", tc.s, got, err)
-		}
-	}
-	if _, err := ParseModel("bogus"); err == nil {
-		t.Error("bogus model accepted")
-	}
+func TestModelKindString(t *testing.T) {
 	if PIERT.String() != "PIERT" || AGREE.String() != "AGREE" || GREE.String() != "GREE" {
 		t.Error("ModelKind.String misbehaves")
 	}

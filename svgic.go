@@ -18,8 +18,7 @@
 //   - The comparison schemes (personalized, group, subgroup-by-friendship,
 //     subgroup-by-preference) and an exact branch-and-bound IP solver.
 //   - Section 5's practical extensions: commodity values, slot significance,
-//     multi-view display, group-wise social models, subgroup-change
-//     smoothing and dynamic join/leave.
+//     multi-view display, subgroup-change smoothing and dynamic join/leave.
 //
 // # Quick start
 //
