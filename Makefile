@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short fuzz bench bench-sessions bench-dynamic bench-lp bench-hot fmt fmt-check vet lint lint-internal lint-fixtures perfbench-check check loc serve-smoke session-smoke crash-smoke slo-smoke
+.PHONY: build test test-short race-repeat fuzz bench bench-sessions bench-dynamic bench-lp bench-hot fmt fmt-check vet lint lint-internal lint-fixtures perfbench-check check loc serve-smoke session-smoke crash-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,14 @@ test:
 # Fast racy lane — what the CI `check` job runs.
 test-short:
 	$(GO) test -race -short ./...
+
+# Repeat-race lane — a CI `check` step. The tests of the state that
+# concurrent repeats of one solve share (the decode memo, its pooled body
+# buffers, the engine's flights and counters) run ten times under -race, so
+# an interleaving one run misses gets nine more chances. About 15s on 2
+# CPUs.
+race-repeat:
+	$(GO) test -race -count=10 -run 'SolveMemo|Coalescer|CounterIdentity' ./internal/server ./internal/engine
 
 # Native fuzz targets, 10s each — a CI `check` step. FuzzProjectCappedSimplex
 # feeds arbitrary float64 bit patterns (NaN and ±Inf included) to the LP's
@@ -83,9 +91,11 @@ bench-lp:
 
 # Hot-solve benchmark, written to BENCH_hot.json: one op posts one of 32
 # perfbench-shaped groups, each solved once before the timer, to the
-# in-process /v1/solve handler, so its body is read, found in the decode memo,
-# fingerprinted and answered from the result cache. ns/op moves with the
-# host; allocs/op does not, and B/op (about one body) only by a few bytes.
+# in-process /v1/solve handler, so its body is read into a pooled buffer,
+# found in the decode memo (whose prepared instance is already validated and
+# fingerprinted) and answered from the result cache. ns/op moves with the
+# host; allocs/op does not, and B/op (the response and the request's
+# plumbing, no body copy) moves by a few hundred bytes.
 bench-hot:
 	$(GO) test ./internal/server -run='^$$' -bench='^BenchmarkSolveHit$$' -benchmem -benchtime=4000x \
 		| $(GO) run ./cmd/benchjson -o BENCH_hot.json
@@ -209,4 +219,4 @@ crash-smoke:
 	./bin/svgicload -dynamic -crash -sessions 4 -requests 240 -seed 12 \
 		./bin/svgicd -data-dir bin/crash-data-off -fsync off -snapshot-every 16 -workers 2 -seed 12
 
-check: fmt-check vet lint build test-short fuzz perfbench-check
+check: fmt-check vet lint build test-short race-repeat fuzz perfbench-check

@@ -59,12 +59,15 @@ func assertCounterIdentity(t *testing.T, st Stats) {
 	}
 }
 
-// TestEngineCounterIdentityStress is the ISSUE's acceptance property: under
-// a concurrent mix of cache hits, fresh solves, solver errors, canceled
-// contexts and invalid instances, Solves == CacheHits + Solved + Canceled +
-// Errors holds — an errored solve used to vanish from Solves entirely while
-// its cache miss was already counted, so Solves drifted below the sum and
-// misses double-counted on retry. Run with -race.
+// TestEngineCounterIdentityStress: under a concurrent mix of cache hits,
+// fresh solves, solver errors, canceled contexts and invalid instances,
+// Solves == CacheHits + Solved + Canceled + Errors holds — an errored solve
+// used to vanish from Solves entirely while its cache miss was already
+// counted, so Solves drifted below the sum and misses double-counted on
+// retry. Half the goroutines send every instance through Prepare and
+// SolvePrepared, so prepared and plain calls share hits, flights and
+// buckets, and a prepared call lands where a plain one would. Run with
+// -race.
 func TestEngineCounterIdentityStress(t *testing.T) {
 	const failItems = 9 // flakySolver poison marker; valid instances use m=10/12
 	e := New(Options{
@@ -84,6 +87,16 @@ func TestEngineCounterIdentityStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		g := g
+		solve := e.Solve
+		if g%2 == 1 {
+			solve = func(ctx context.Context, in *core.Instance) (*core.Solution, error) {
+				p, err := Prepare(in)
+				if err != nil {
+					return nil, err
+				}
+				return e.SolvePrepared(ctx, p, nil)
+			}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -91,28 +104,28 @@ func TestEngineCounterIdentityStress(t *testing.T) {
 				switch i % 4 {
 				case 0: // repeatable valid instance: first solve fills the cache, rest hit
 					in := multiComponentInstance(uint64(1+(g+i)%3), 2, 4, 10, 2, 0.5)
-					if _, err := e.Solve(ctx, in); err != nil {
+					if _, err := solve(ctx, in); err != nil {
 						t.Errorf("valid solve failed: %v", err)
 					}
 				case 1: // distinct valid instance: always a fresh solve
 					in := multiComponentInstance(uint64(1000+g*iters+i), 2, 4, 12, 2, 0.5)
-					if _, err := e.Solve(ctx, in); err != nil {
+					if _, err := solve(ctx, in); err != nil {
 						t.Errorf("distinct solve failed: %v", err)
 					}
 				case 2: // solver error: must land in Errors, never in the cache
 					in := multiComponentInstance(uint64(500+g), 2, 4, failItems, 2, 0.5)
-					if _, err := e.Solve(ctx, in); !errors.Is(err, errFlaky) {
+					if _, err := solve(ctx, in); !errors.Is(err, errFlaky) {
 						t.Errorf("flaky solve: err = %v, want errFlaky", err)
 					}
 				case 3: // dead-on-arrival context: must land in Canceled
 					in := multiComponentInstance(uint64(1+(g+i)%3), 2, 4, 10, 2, 0.5)
-					if _, err := e.Solve(canceledCtx, in); !errors.Is(err, context.Canceled) {
+					if _, err := solve(canceledCtx, in); !errors.Is(err, context.Canceled) {
 						t.Errorf("canceled solve: err = %v, want context.Canceled", err)
 					}
 					// Invalid instances are rejected before admission and
 					// must not move any counter.
 					bad := multiComponentInstance(uint64(g), 1, 3, 2, 3, 0.5) // k > m
-					if _, err := e.Solve(ctx, bad); err == nil {
+					if _, err := solve(ctx, bad); err == nil {
 						t.Error("invalid instance accepted")
 					}
 				}

@@ -15,16 +15,22 @@
 // and AVG-D results (or one algorithm under two parameterizations) never
 // alias.
 //
-// Every call takes one path: validate, fingerprint once, then answer from
-// the cache, join an identical solve already in flight, or lead one. The
-// LRU cache only helps after the first solve of an instance completes;
-// under a flash crowd (N identical requests arriving inside one solve's
-// latency) the first arrival leads, the rest park on its flight, and the
-// leader's solution fans out to them as deep copies, so the solver runs
-// once and every caller may mutate its configuration freely. A joiner's own
-// context bounds its wait; if the leader fails with its own context error
-// while the joiner's context is live, the joiner goes around again rather
-// than inherit an error that was never its own.
+// Every call takes one path: validate, fingerprint, then answer from the
+// cache, join an identical solve already in flight, or lead one. The first
+// two steps are the instance's own, not the call's: Prepare does them once,
+// and SolvePrepared runs the same path without them, so a caller holding an
+// instance that never changes (the server's decode memo) pays them only
+// when it first sees the instance. Session instances change in place, so
+// sessions call SolveWith, which redoes both on every call (an unkeyed
+// solver needs no fingerprint). The LRU cache only helps after the first
+// solve of an instance completes; under a flash crowd (N identical requests
+// arriving inside one solve's latency) the first arrival leads, the rest
+// park on its flight, and the leader's solution fans out to them as deep
+// copies, so the solver runs once and every caller may mutate its
+// configuration freely. A joiner's own context bounds its wait; if the
+// leader fails with its own context error while the joiner's context is
+// live, the joiner goes around again rather than inherit an error that was
+// never its own.
 package engine
 
 import (
@@ -371,7 +377,7 @@ func (e *Engine) record(algo string, o outcome, latency time.Duration) {
 
 // Solve answers one instance with the engine's default solver. See SolveWith.
 func (e *Engine) Solve(ctx context.Context, in *core.Instance) (*core.Solution, error) {
-	return e.solve(ctx, in, nil)
+	return e.solve(ctx, in, 0, false, nil)
 }
 
 // DefaultSolver returns the engine's default solver instance — what Solve
@@ -383,38 +389,73 @@ func (e *Engine) DefaultSolver() core.Solver {
 }
 
 // SolveWith answers one instance with the given solver (any core.Solver —
-// typically a registry-built one; nil means the engine default): cache
-// lookup under the (fingerprint, solver-key) pair, else joining an identical
-// in-flight call or leading one — component decomposition when the solver
-// declares it safe, concurrent component solves on the shared pool, merge,
-// cache fill. A solver that does not implement core.CacheKeyer has no
-// parameter-precise identity and therefore bypasses the result cache and
-// coalescing (every call solves); registry-built solvers are always keyed.
+// typically a registry-built one; nil means the engine default): it
+// validates the instance on every call and, for a keyed solver,
+// fingerprints it and looks the result up under the (fingerprint,
+// solver-key) pair, else joins an identical in-flight call or leads one —
+// component decomposition when the solver declares it safe, concurrent
+// component solves on the shared pool, merge, cache fill. A solver that
+// does not implement core.CacheKeyer has no parameter-precise identity and
+// therefore bypasses the result cache and coalescing (every call solves,
+// and no fingerprint is computed); registry-built solvers are always keyed.
 // The solver must be safe for concurrent use: decomposed components run it
 // from several workers at once. The context bounds the call — cancellation
 // abandons components that have not started (a component already on a
 // worker runs to completion but its result is discarded) and ends a wait on
 // another call's flight. The returned solution is always private to the
-// caller.
+// caller. SolvePrepared is the same call for an instance Prepare has
+// already validated and fingerprinted.
 func (e *Engine) SolveWith(ctx context.Context, in *core.Instance, solver core.Solver) (*core.Solution, error) {
-	return e.solve(ctx, in, solver)
+	return e.solve(ctx, in, 0, false, solver)
 }
 
-// solve is every solve path's body: admission, then one fingerprint and the
-// cache-or-flight loop for keyed solvers. A nil solver means the default.
-func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solver) (*core.Solution, error) {
+// Prepared is an instance the engine has validated and fingerprinted once,
+// for SolvePrepared. Only Prepare makes one.
+type Prepared struct {
+	in *core.Instance
+	fp uint64 // core.Fingerprint(in)
+}
+
+// Prepare validates in and computes its core.Fingerprint, so that every
+// later SolvePrepared of it skips both. The Prepared value takes in over
+// without a copy: the caller must never mutate in again. Session instances,
+// which change in place, go through SolveWith instead.
+func Prepare(in *core.Instance) (Prepared, error) {
+	if err := in.Validate(); err != nil {
+		return Prepared{}, err
+	}
+	//lint:ignore cloneescape ownership transfer: the caller hands over an instance it never mutates again (the server's freshly decoded /v1/solve bodies); a copy would cost every miss an instance's allocations
+	return Prepared{in: in, fp: core.Fingerprint(in)}, nil
+}
+
+// SolvePrepared is SolveWith for a prepared instance: the same admission,
+// counters, cache key and flights, without validating or fingerprinting
+// the instance again.
+func (e *Engine) SolvePrepared(ctx context.Context, p Prepared, solver core.Solver) (*core.Solution, error) {
+	return e.solve(ctx, p.in, p.fp, true, solver)
+}
+
+// solve is every solve path's body: admission, then the cache-or-flight
+// loop for keyed solvers. A prepared call (Prepare has validated in and
+// computed its fingerprint fp) skips both steps; any other call validates
+// here and fingerprints once it knows the solver is keyed. A nil solver
+// means the default.
+func (e *Engine) solve(ctx context.Context, in *core.Instance, fp uint64, prepared bool, solver core.Solver) (*core.Solution, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	if err := in.Validate(); err != nil {
-		return nil, err
+	if !prepared {
+		if err := in.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	algo, whole, id := e.defaultSolver.Name(), e.defaultWhole, e.defaultKey
 	if solver != nil {
 		algo, whole = solver.Name(), !decomposeSafe(solver)
 	}
-	// Dead-on-arrival requests: don't pay the O(n·m + |E|·m) fingerprint or
-	// touch the cache counters for a call that cannot run.
+	// Dead-on-arrival requests: don't pay the O(n·m + |E|·m) fingerprint of
+	// an unprepared instance or touch the cache counters for a call that
+	// cannot run.
 	if err := ctx.Err(); err != nil {
 		e.record(algo, outcomeCanceled, 0)
 		return nil, err
@@ -425,7 +466,10 @@ func (e *Engine) solve(ctx context.Context, in *core.Instance, solver core.Solve
 		}
 		id = SolverKey(solver)
 	}
-	key := cacheKey{fp: core.Fingerprint(in), solver: id}
+	if !prepared {
+		fp = core.Fingerprint(in)
+	}
+	key := cacheKey{fp: fp, solver: id}
 	for {
 		hit, f, lead := e.cache.lookup(key)
 		if hit != nil {
@@ -567,7 +611,7 @@ func (e *Engine) SolveBatchEach(ctx context.Context, ins []*core.Instance, solve
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sols[i], errs[i] = e.solve(ctx, in, solver)
+			sols[i], errs[i] = e.solve(ctx, in, 0, false, solver)
 		}()
 	}
 	wg.Wait()

@@ -7,7 +7,7 @@ import (
 	"hash/maphash"
 	"sync"
 
-	"github.com/svgic/svgic/internal/core"
+	"github.com/svgic/svgic/internal/engine"
 )
 
 // memoBudget bounds the body bytes the solve memo holds: twice a working set
@@ -19,22 +19,23 @@ const memoBudget = 4 << 20
 // on every request, so one huge instance cannot flush the working set.
 const memoMaxBody = 1 << 20
 
-// solveInput is a /v1/solve body decoded and validated: the instance and the
-// algorithm selection. A memoized one is shared by every request that sends
-// the same bytes, so nothing may mutate it; solvers and the engine only read
+// solveInput is a /v1/solve body decoded and prepared: the instance,
+// validated and fingerprinted by engine.Prepare, and the algorithm
+// selection. A memoized one is shared by every request that sends the same
+// bytes, so nothing may mutate it; solvers and the engine only read
 // instances.
 type solveInput struct {
-	in     *core.Instance
+	prep   engine.Prepared
 	algo   string
 	params json.RawMessage
 }
 
 // solveMemo maps /v1/solve request bodies to their decoded inputs, so a
-// repeated body skips JSON parsing and the instance build. Entries are
-// found by a maphash of the body and confirmed by byte equality, and are
-// evicted least recently used once the held bodies exceed memoBudget. The
-// caller stores an input only after its request succeeded, so the memo
-// holds nothing a request was refused for.
+// repeated body skips JSON parsing, the instance build, validation and the
+// fingerprint. Entries are found by a maphash of the body and confirmed by
+// byte equality, and are evicted least recently used once the held bodies
+// exceed memoBudget. The caller stores an input only after its request
+// succeeded, so the memo holds nothing a request was refused for.
 type solveMemo struct {
 	seed   maphash.Seed
 	mu     sync.Mutex
@@ -75,14 +76,20 @@ func (m *solveMemo) get(body []byte) (input solveInput, hash uint64, ok bool) {
 	return solveInput{}, hash, false
 }
 
-// put stores input for body, whose hash get returned, then evicts the least
-// recently used entries until the held bodies fit memoBudget. A body over
-// memoMaxBody is not stored. An entry already under the hash (the same body
-// stored by a concurrent miss, or a colliding one) gives way to the new one.
+// put stores input under a copy of body, whose hash get returned, then
+// evicts the least recently used entries until the held bodies fit
+// memoBudget. The copy is exactly as long as the body, so the caller may
+// reuse its buffer and memoBudget counts every byte the memo holds. A body
+// over memoMaxBody is not stored. An entry already under the hash (the same
+// body stored by a concurrent miss, or a colliding one) gives way to the new
+// one.
 func (m *solveMemo) put(hash uint64, body []byte, input solveInput) {
 	if len(body) > memoMaxBody {
 		return
 	}
+	own := make([]byte, len(body))
+	copy(own, body)
+	body = own
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if el := m.byHash[hash]; el != nil {

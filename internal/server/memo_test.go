@@ -202,11 +202,12 @@ func TestSolveMemoBudget(t *testing.T) {
 }
 
 // TestSolveMemoSharedInstanceRace runs the solver on one memoized instance
-// while concurrent hits on the same body validate and fingerprint it. The
-// result cache is off, so every flight runs the solver. One hit is held in
-// the solver until another hit has joined its flight, so the two provably
-// overlap; then free-running clients keep hitting while flights solve. Under
-// -race any write to the shared instance is a report.
+// from several flights at once: every hit on the same body hands the engine
+// the same prepared instance. The result cache is off, so every flight runs
+// the solver. One hit is held in the solver until another hit has joined
+// its flight, so the two provably overlap; then free-running clients keep
+// hitting while flights solve. Under -race any write to the shared instance
+// is a report.
 func TestSolveMemoSharedInstanceRace(t *testing.T) {
 	srv, gate, runs := newGatedServer(t, Options{MaxInFlight: 16})
 	_, body := testInstance(t, 5)
@@ -253,6 +254,130 @@ func TestSolveMemoSharedInstanceRace(t *testing.T) {
 	}
 }
 
+// TestSolveMemoPooledBuffersStayPrivate: /v1/solve reads each body into a
+// pooled buffer, which goes back to the pool once a hit has been looked up
+// or a miss answered. Several clients send distinct hot-shaped bodies again
+// and again, mixed with a malformed body and a valid one over memoMaxBody.
+// Every answer must equal the first one for its own body (timings masked),
+// so no request read another's bytes, and -race reports a buffer touched
+// after it went back. The memo must then hold exact-length copies only: its
+// byte count is the sum of the held bodies' lengths and no held body has
+// spare capacity, which a memo keeping the pooled buffer itself breaks.
+func TestSolveMemoPooledBuffersStayPrivate(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := hotBodies(t, 4)
+	malformed := hot[0][:len(hot[0])/2]
+	// Leading blanks keep it valid: answered 200, never stored, and its
+	// buffer, grown past memoMaxBody, never pooled. Decoding it is slow
+	// under -race, so only the first client sends it, once.
+	oversized := append(bytes.Repeat([]byte{' '}, memoMaxBody), hot[1]...)
+	bodies := append(append([][]byte{}, hot...), malformed, oversized)
+
+	const clients, rounds = 4, 3
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first = make([][]byte, len(bodies))
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// Each client starts at its own body, so first sightings,
+			// stores and hits of different bodies overlap.
+			for i := 0; i < rounds*len(bodies); i++ {
+				b := (c*2 + i) % len(bodies)
+				if b == len(bodies)-1 && (c > 0 || i >= len(bodies)) {
+					continue
+				}
+				want := http.StatusOK
+				if b == len(hot) {
+					want = http.StatusBadRequest
+				}
+				rec := postSolve(srv, bodies[b])
+				if rec.Code != want {
+					t.Errorf("body %d: status %d, want %d: %s", b, rec.Code, want, rec.Body)
+					return
+				}
+				got := timings.ReplaceAll(rec.Body.Bytes(), nil)
+				mu.Lock()
+				if first[b] == nil {
+					first[b] = got
+				} else if !bytes.Equal(got, first[b]) {
+					t.Errorf("body %d answered differently:\n%s\n%s", b, got, first[b])
+				}
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	m := srv.memo
+	m.mu.Lock()
+	n, sum := m.order.Len(), 0
+	for el := m.order.Front(); el != nil; el = el.Next() {
+		body := el.Value.(*memoEntry).body
+		sum += len(body)
+		if cap(body) != len(body) {
+			t.Errorf("a held body of %d bytes has capacity %d", len(body), cap(body))
+		}
+	}
+	if m.bytes != sum {
+		t.Errorf("memo counts %d bytes, holds %d", m.bytes, sum)
+	}
+	m.mu.Unlock()
+	if n != len(hot) || held(m, malformed) || held(m, oversized) {
+		t.Errorf("memo holds %d bodies (malformed %v, oversized %v), want the %d hot ones only",
+			n, held(m, malformed), held(m, oversized), len(hot))
+	}
+	if rec := postSolve(srv, oversized); rec.Code != http.StatusOK {
+		t.Fatalf("oversized body: status %d: %s", rec.Code, rec.Body)
+	}
+	for i := 0; i < 4; i++ {
+		if buf := srv.bodies.Get().(*bytes.Buffer); buf.Cap() > memoMaxBody {
+			t.Fatalf("the pool handed out a buffer of %d bytes, over memoMaxBody", buf.Cap())
+		}
+	}
+}
+
+// TestSolveMemoKeysTheCacheByFingerprint: a /v1/solve miss caches its
+// solution under the fingerprint engine.Prepare computed, and a batch item
+// and a session create of the same instance, which the engine fingerprints
+// itself, must find it: one solve, then two cache hits.
+func TestSolveMemoKeysTheCacheByFingerprint(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	t.Cleanup(eng.Close)
+	srv, err := New(Options{Engine: eng, Sessions: testManager(t, eng, session.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body := testInstance(t, 6)
+	batch := append(append([]byte("["), body...), ']')
+	for _, req := range []struct {
+		path string
+		body []byte
+		code int
+	}{
+		{"/v1/solve", body, http.StatusOK},
+		{"/v1/solve/batch", batch, http.StatusOK},
+		{"/v1/sessions", body, http.StatusCreated},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, bytes.NewReader(req.body)))
+		if rec.Code != req.code {
+			t.Fatalf("%s: status %d, want %d: %s", req.path, rec.Code, req.code, rec.Body)
+		}
+	}
+	if st := eng.Stats(); st.Solved != 1 || st.CacheHits != 2 {
+		t.Errorf("engine solved %d and hit %d times, want 1 solve and 2 hits", st.Solved, st.CacheHits)
+	}
+}
+
 // FuzzSolveMemo posts arbitrary bytes to /v1/solve twice. Both answers must
 // have the same status and, with elapsedMs and solveMs masked, the same
 // body; a body answered with anything but 200 must not be stored, and one
@@ -279,12 +404,13 @@ func FuzzSolveMemo(f *testing.F) {
 	})
 }
 
-// hotBodies encodes 32 solve requests shaped like perfbench's hot-solve
-// groups: one shopper group per dataset profile with n 8–24, m 30–50 and
-// k 3–5, every fourth one three groups of 8 folded together.
-func hotBodies(tb testing.TB) [][]byte {
+// hotBodies encodes the first n of 32 solve requests shaped like
+// perfbench's hot-solve groups: one shopper group per dataset profile with
+// n 8–24, m 30–50 and k 3–5, every fourth one three groups of 8 folded
+// together.
+func hotBodies(tb testing.TB, n int) [][]byte {
 	tb.Helper()
-	out := make([][]byte, 32)
+	out := make([][]byte, n)
 	for i := range out {
 		m, k, seed := 30+i*8%21, 3+i/3%3, uint64(i+1)
 		in := datasets.MultiGroup(seed, 3, 8, m, k, 0.5)
@@ -303,9 +429,10 @@ func hotBodies(tb testing.TB) [][]byte {
 }
 
 // BenchmarkSolveHit is one /v1/solve of a group asking again for its cached
-// configuration, through the in-process handler: the body is read, found in
-// the decode memo, fingerprinted and answered from the result cache. The 32
-// groups are solved once before the timer.
+// configuration, through the in-process handler: the body is read into a
+// pooled buffer, found in the decode memo, whose prepared instance carries
+// its validation and fingerprint, and answered from the result cache. The
+// 32 groups are solved once before the timer.
 func BenchmarkSolveHit(b *testing.B) {
 	eng := engine.New(engine.Options{Workers: 2})
 	b.Cleanup(eng.Close)
@@ -313,7 +440,7 @@ func BenchmarkSolveHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bodies := hotBodies(b)
+	bodies := hotBodies(b, 32)
 	for _, body := range bodies {
 		if rec := postSolve(srv, body); rec.Code != http.StatusOK {
 			b.Fatalf("setup solve: status %d: %s", rec.Code, rec.Body)

@@ -57,16 +57,19 @@
 // content are rejected with 400, so a misspelled field fails loudly instead
 // of solving a silently-zeroed instance, and a body over 8 MiB gets 413.
 //
-// /v1/solve reads its body whole, into a buffer sized from Content-Length,
-// and keeps a decode memo (memo.go) in front of the decode: a body it has
-// answered before, byte for byte, reuses the validated instance and
-// algorithm selection decoded the first time, so a group asking again for a
-// cached configuration pays for reading and hashing its body, not for
-// parsing it. The deadline, the solver selection with its SLO reroute and
-// the engine call stay per request. The memo's hits, misses and evictions
-// are in /v1/stats and /metrics. Because the whole body is read before any
-// parsing, an oversized /v1/solve body is 413 even when its first bytes are
-// malformed; the other routes decode as they read.
+// /v1/solve reads its body whole, into a pooled buffer grown to fit
+// Content-Length, and keeps a decode memo (memo.go) in front of the decode:
+// a body it has answered before, byte for byte, reuses what the first
+// sighting built — the instance, validated and fingerprinted once by
+// engine.Prepare, and the algorithm selection — so a group asking again
+// for a cached configuration pays for reading and hashing its body, not for
+// parsing, validating or fingerprinting it. A hit hands its buffer back to
+// the pool as soon as the memo has answered; a stored miss keeps an
+// exact-length copy. The deadline, the solver selection with its SLO
+// reroute and the engine call stay per request. The memo's hits, misses
+// and evictions are in /v1/stats and /metrics. Because the whole body is
+// read before any parsing, an oversized /v1/solve body is 413 even when its
+// first bytes are malformed; the other routes decode as they read.
 package server
 
 import (
@@ -79,6 +82,7 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -180,7 +184,8 @@ type Server struct {
 	tel  *telemetry.Tracker
 	ctrl *telemetry.Controller
 
-	memo *solveMemo // /v1/solve bodies already decoded
+	memo   *solveMemo // /v1/solve bodies already decoded
+	bodies sync.Pool  // *bytes.Buffer: /v1/solve body buffers, see readBody
 
 	// sem holds one token per admitted request; Shutdown drains the server
 	// by acquiring every token after flipping draining, so "all tokens held
@@ -234,12 +239,13 @@ func New(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("server: degrade algorithm: %w", err)
 	}
 	s := &Server{
-		eng:  opts.Engine,
-		mgr:  opts.Sessions,
-		opts: opts,
-		sem:  make(chan struct{}, opts.MaxInFlight),
-		tel:  opts.Telemetry,
-		memo: newSolveMemo(),
+		eng:    opts.Engine,
+		mgr:    opts.Sessions,
+		opts:   opts,
+		sem:    make(chan struct{}, opts.MaxInFlight),
+		tel:    opts.Telemetry,
+		memo:   newSolveMemo(),
+		bodies: sync.Pool{New: func() any { return new(bytes.Buffer) }},
 	}
 	if len(opts.SLOs) > 0 {
 		ctrl, err := telemetry.NewController(telemetry.ControllerOptions{
@@ -446,22 +452,28 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	body, ok := s.readBody(w, r, "decoding instance")
+	buf, ok := s.readBody(w, r, "decoding instance")
 	if !ok {
 		return
 	}
-	input, hash, hit := s.memo.get(body)
-	if !hit {
+	input, hash, hit := s.memo.get(buf.Bytes())
+	if hit {
+		s.freeBody(buf)
+	} else {
+		defer s.freeBody(buf)
 		var sr SolveRequest
-		if !s.bodyOK(w, "decoding instance", core.DecodeStrict(bytes.NewReader(body), &sr)) {
+		if !s.bodyOK(w, "decoding instance", core.DecodeStrict(bytes.NewReader(buf.Bytes()), &sr)) {
 			return
 		}
 		in, err := core.InstanceFromJSON(&sr.InstanceJSON)
+		if err == nil {
+			input.prep, err = engine.Prepare(in)
+		}
 		if err != nil {
 			s.badRequest(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		input = solveInput{in: in, algo: sr.Algo, params: sr.Params}
+		input.algo, input.params = sr.Algo, sr.Params
 	}
 	solver, _, degraded, err := s.selectSolver(input.algo, input.params, 0)
 	if err != nil {
@@ -474,13 +486,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	start := time.Now()
-	sol, err := s.eng.SolveWith(ctx, input.in, solver)
+	sol, err := s.eng.SolvePrepared(ctx, input.prep, solver)
 	if err != nil {
 		s.writeSolveError(w, err)
 		return
 	}
 	if !hit {
-		s.memo.put(hash, body, input)
+		s.memo.put(hash, buf.Bytes(), input)
 	}
 	resp := solveResponse(sol, time.Since(start))
 	resp.Degraded = degraded
@@ -667,14 +679,29 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, what string, v a
 	return s.bodyOK(w, what, core.DecodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v))
 }
 
-// readBody reads the whole request body into a buffer sized from
-// Content-Length and reports whether it did, answering a failure itself
-// (see bodyOK).
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+// readBody reads the whole request body into a buffer from s.bodies, grown
+// to fit Content-Length, and reports whether it did, answering a failure
+// itself (see bodyOK). On success the caller hands the buffer back with
+// freeBody once nothing reads the body any more; on a failure readBody has.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, what string) (*bytes.Buffer, bool) {
+	buf := s.bodies.Get().(*bytes.Buffer)
+	buf.Reset()
 	// MinRead spare bytes let ReadFrom see EOF without growing the buffer.
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyBytes)+bytes.MinRead))
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	return buf.Bytes(), s.bodyOK(w, what, err)
+	buf.Grow(int(min(max(r.ContentLength, 0), maxBodyBytes)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); !s.bodyOK(w, what, err) {
+		s.freeBody(buf)
+		return nil, false
+	}
+	return buf, true
+}
+
+// freeBody returns a body buffer to s.bodies unless it has grown past
+// memoMaxBody: a body that large is never memoized, and pooling its buffer
+// would keep up to maxBodyBytes alive for the small bodies that follow.
+func (s *Server) freeBody(buf *bytes.Buffer) {
+	if buf.Cap() <= memoMaxBody {
+		s.bodies.Put(buf)
+	}
 }
 
 // bodyOK reports whether reading or decoding a request body succeeded,
